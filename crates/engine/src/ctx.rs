@@ -2,6 +2,7 @@
 
 use eo_model::{EventId, MachState, Machine, ProcessId, ProgramExecution};
 use eo_relations::Relation;
+use std::borrow::Cow;
 
 /// Which feasibility notion the engine uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,6 +29,9 @@ pub struct SearchCtx<'a> {
     mode: FeasibilityMode,
     /// `dep_preds[e]` = events that must precede `e` by →D.
     dep_preds: Vec<Vec<EventId>>,
+    /// The →D in force: borrowed from the execution, or the empty
+    /// relation (built once here) when dependences are ignored.
+    effective_d: Cow<'a, Relation>,
 }
 
 impl<'a> SearchCtx<'a> {
@@ -35,16 +39,21 @@ impl<'a> SearchCtx<'a> {
     pub fn new(exec: &'a ProgramExecution, mode: FeasibilityMode) -> Self {
         let n = exec.n_events();
         let mut dep_preds = vec![Vec::new(); n];
-        if mode == FeasibilityMode::PreserveDependences {
-            for (a, b) in exec.d().pairs() {
-                dep_preds[b].push(EventId::new(a));
+        let effective_d = match mode {
+            FeasibilityMode::PreserveDependences => {
+                for (a, b) in exec.d().pairs() {
+                    dep_preds[b].push(EventId::new(a));
+                }
+                Cow::Borrowed(exec.d())
             }
-        }
+            FeasibilityMode::IgnoreDependences => Cow::Owned(Relation::new(n)),
+        };
         SearchCtx {
             exec,
             machine: Machine::new(exec.trace()),
             mode,
             dep_preds,
+            effective_d,
         }
     }
 
@@ -73,12 +82,10 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// The dependence relation in force: the execution's →D, or the empty
-    /// relation when dependences are ignored.
-    pub fn effective_d(&self) -> Relation {
-        match self.mode {
-            FeasibilityMode::PreserveDependences => self.exec.d().clone(),
-            FeasibilityMode::IgnoreDependences => Relation::new(self.n_events()),
-        }
+    /// relation when dependences are ignored. Built once per context.
+    #[inline]
+    pub fn effective_d(&self) -> &Relation {
+        &self.effective_d
     }
 
     /// The **typed** dependence input in force ([`eo_model::Dependence`]):
@@ -174,10 +181,10 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// The induced partial order →T′ of a complete schedule under this
-    /// context's feasibility mode.
+    /// context's feasibility mode, computed from scratch (the reference
+    /// the incremental enumeration leaves are checked against).
     pub fn induced_order(&self, order: &[EventId]) -> Relation {
-        let d = self.effective_d();
-        eo_model::induce::induced_order(self.exec.trace(), &d, order)
+        eo_model::induce::induced_order(self.exec.trace(), self.effective_d(), order)
     }
 
     /// Static symmetric dependence between two events, for Mazurkiewicz

@@ -29,19 +29,37 @@
 //!   ablation baseline (DESIGN.md §5); all strategies must produce the
 //!   same set of induced orders.
 //!
+//! **Incremental leaves.** Every pruned strategy carries the
+//! [`ScanState`] down the DFS, so each complete schedule arrives with its
+//! pairing-edge set and that set's 128-bit XOR key. The induced order is
+//! `cl(base edges ∪ pairing edges)` — a function of the edge set — so a
+//! leaf whose key was already seen repeats a recorded order and costs one
+//! hash probe; only a new set is closed, starting from the base edges
+//! closed once per enumeration. The unpruned oracle keeps the
+//! from-scratch [`SearchCtx::induced_order`] leaf as the reference. The
+//! visit order is the same as with from-scratch leaves, so
+//! `schedules_explored`, `pruned_branches`, the truncation point and the
+//! `orders` sequence are too. Machine states, sleep sets and grain's
+//! closed relations are pooled per depth: in steady state the search
+//! allocates only for a new order.
+//!
 //! All variants deduplicate induced orders — by 128-bit matrix
 //! fingerprint ([`eo_relations::Relation::fingerprint128`]), with the
 //! full matrices retained as a collision oracle under
-//! `debug_assertions` — so the result is F(P) itself (up to the
-//! documented canonical extraction), not a multiset of schedules.
+//! `debug_assertions` (the edge-set keys get the same oracle) — so the
+//! result is F(P) itself (up to the documented canonical extraction), not
+//! a multiset of schedules.
 
 use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
-use crate::equiv::{closed_hash, closed_insert, combine_key, CanonMode, EquivStrategy, ScanState};
-use eo_model::{EventId, MachState, ProcessId};
+use crate::equiv::{
+    closed_hash, closed_insert, combine_key, CanonMode, EquivStrategy, ScanState, ScanUndo,
+};
+use eo_model::{induce, EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashSet;
 use eo_relations::{closure, BitSet, Relation};
+use std::mem::size_of;
 
 /// The outcome of enumerating F(P).
 #[derive(Clone, Debug)]
@@ -66,36 +84,50 @@ pub struct EnumerationResult {
     pub pruned_branches: usize,
 }
 
-/// Dedup store for recorded orders: 128-bit fingerprints, with the full
-/// matrices kept as a collision oracle in debug builds only (the
-/// satellite that cuts enumeration peak memory roughly in half).
-struct SeenOrders {
-    fps: FxHashSet<u128>,
+/// Dedup store of relations by 128-bit key — induced orders by
+/// fingerprint, pairing-edge sets by [`ScanState::edge_key`]. Release
+/// builds keep only the keys; debug builds also keep the full matrices
+/// and assert both dedup decisions agree (the collision oracle).
+struct SeenKeys {
+    keys: FxHashSet<u128>,
     #[cfg(debug_assertions)]
     full: FxHashSet<Relation>,
 }
 
-impl SeenOrders {
+impl SeenKeys {
     fn new() -> Self {
-        SeenOrders {
-            fps: FxHashSet::default(),
+        SeenKeys {
+            keys: FxHashSet::default(),
             #[cfg(debug_assertions)]
             full: FxHashSet::default(),
         }
     }
 
-    fn insert(&mut self, order: &Relation) -> bool {
-        let fresh = self.fps.insert(order.fingerprint128());
+    /// Inserts `key`; `full` builds the keyed relation, which only the
+    /// debug oracle needs. True iff the key is new.
+    fn insert(&mut self, key: u128, full: impl FnOnce() -> Relation) -> bool {
+        let fresh = self.keys.insert(key);
         #[cfg(debug_assertions)]
         {
-            let full_fresh = self.full.insert(order.clone());
+            let full_fresh = self.full.insert(full());
             assert_eq!(
                 fresh, full_fresh,
-                "128-bit relation fingerprint collided with a distinct matrix"
+                "128-bit key collided with a distinct matrix"
             );
         }
+        #[cfg(not(debug_assertions))]
+        let _ = full;
         fresh
     }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
+
+/// Approximate heap bytes of one n×n bit matrix plus container overhead.
+fn matrix_bytes(n: usize) -> usize {
+    (n * n).div_ceil(8) + 64
 }
 
 struct Enumerator<'c, 'a> {
@@ -105,7 +137,7 @@ struct Enumerator<'c, 'a> {
     /// Canonical-search mode (`None` = plain schedule DFS).
     canon: Option<CanonMode>,
     schedule: Vec<EventId>,
-    seen: SeenOrders,
+    seen: SeenKeys,
     orders: Vec<Relation>,
     schedules_explored: usize,
     truncated: bool,
@@ -119,23 +151,46 @@ struct Enumerator<'c, 'a> {
     /// Approximate bytes one recorded order costs (matrix + fingerprint),
     /// for the memory budget.
     order_bytes: usize,
+    /// Heap bytes allocated once per enumeration and never grown: the
+    /// per-depth pools, the dependence rows, the closed base and leaf
+    /// scratch, and the scan.
+    fixed_bytes: usize,
     /// Recycled co-enabled buffers, one per active recursion depth — the
     /// search allocates no per-state vectors in steady state.
     enabled_pool: Vec<Vec<(ProcessId, EventId)>>,
-    // --- canonical-search state (engaged iff `canon.is_some()`) ---
+    /// `states[d]`: the machine state after the first `d` events of
+    /// `schedule`. Stepping to depth `d + 1` overwrites the buffers of
+    /// `states[d + 1]` in place.
+    states: Vec<MachState>,
+    // --- sleep sets (engaged iff `use_sleep`) ---
+    /// `sleeps[d]`: the sleep set at depth `d`, grown in place with each
+    /// explored sibling.
+    sleeps: Vec<BitSet>,
+    /// `dep[e]`: the events statically dependent with `e`. A child's
+    /// sleep set is its parent's minus `dep[e]`, word-parallel.
+    dep: Vec<BitSet>,
+    // --- incremental induced orders (engaged iff `scan.is_some()`, i.e.
+    // for every pruned strategy) ---
     /// Incremental induced-edge scan mirrored along the DFS path.
     scan: Option<ScanState>,
-    /// Canonical nodes already fully explored (or currently on the DFS
-    /// path, which cannot recur — progress strictly increases).
-    visited: FxHashSet<u128>,
     /// Pairing edges emitted along the current path (a stack; each depth
     /// remembers its start index).
     edge_stack: Vec<(EventId, EventId)>,
-    /// For [`CanonMode::ClosedRelation`]: the closed induced relation at
-    /// each depth of the current path (top = current prefix).
-    closed_stack: Vec<Relation>,
+    /// Pairing-edge sets of the complete schedules recorded so far.
+    edge_sets: SeenKeys,
+    /// `cl(base edges)`, the schedule-independent part of every order.
+    closed_base: Relation,
+    /// Leaf scratch: `closed_base` plus the current path's edges, closed.
+    leaf: Relation,
     /// Scratch successor row for `closed_insert`.
     row_scratch: BitSet,
+    // --- canonical-search state (engaged iff `canon.is_some()`) ---
+    /// Canonical nodes already fully explored (or currently on the DFS
+    /// path, which cannot recur — progress strictly increases).
+    visited: FxHashSet<u128>,
+    /// For [`CanonMode::ClosedRelation`]: `closed[d]` is the closed
+    /// induced relation of the first `d` events of `schedule`.
+    closed: Vec<Relation>,
 }
 
 impl Enumerator<'_, '_> {
@@ -148,77 +203,125 @@ impl Enumerator<'_, '_> {
             return;
         }
         self.schedules_explored += 1;
-        let order = match self.canon {
-            // The closed-relation search already maintains exactly
-            // cl(base ∪ pairing edges) — the induced order — so recording
-            // is a clone, not a recomputation.
-            Some(CanonMode::ClosedRelation) => {
-                let top = self.closed_stack.last().expect("closure stack seeded");
-                debug_assert_eq!(
-                    *top,
-                    self.ctx.induced_order(&self.schedule),
-                    "incrementally closed relation diverged from the induce scan"
-                );
-                top.clone()
+        let Some(scan) = &self.scan else {
+            // The unpruned oracle: the from-scratch reference leaf.
+            let order = self.ctx.induced_order(&self.schedule);
+            if self.seen.insert(order.fingerprint128(), || order.clone()) {
+                self.orders.push(order);
             }
-            _ => self.ctx.induced_order(&self.schedule),
+            return;
         };
-        if self.seen.insert(&order) {
-            self.orders.push(order);
+        // The order is cl(base ∪ pairing edges): a repeated edge set
+        // repeats an order the first schedule with that set recorded.
+        let n = self.closed_base.len();
+        let edges = &self.edge_stack;
+        let edge_set =
+            || Relation::from_edges(n, edges.iter().map(|&(a, b)| (a.index(), b.index())));
+        if !self.edge_sets.insert(scan.edge_key(), edge_set) {
+            return;
+        }
+        let order = match self.canon {
+            // The closed-relation search already maintains exactly this
+            // order along the path.
+            Some(CanonMode::ClosedRelation) => &self.closed[self.schedule.len()],
+            _ => {
+                self.leaf.clone_from(&self.closed_base);
+                for &(a, b) in edges {
+                    closed_insert(&mut self.leaf, a.index(), b.index(), &mut self.row_scratch);
+                }
+                &self.leaf
+            }
+        };
+        debug_assert_eq!(
+            *order,
+            self.ctx.induced_order(&self.schedule),
+            "incremental induced order diverged from the reference leaf"
+        );
+        if self.seen.insert(order.fingerprint128(), || order.clone()) {
+            self.orders.push(order.clone());
         }
     }
 
     fn heap_estimate(&self) -> usize {
-        let memo = self.visited.len() * 2 * std::mem::size_of::<u128>();
-        let closure = self.closed_stack.first().map_or(0, |r| {
-            self.closed_stack.len() * (r.len() * r.len() / 8 + 64)
-        });
-        self.orders.len() * self.order_bytes + memo + closure
+        let memo = (self.visited.len() + self.edge_sets.len()) * 2 * size_of::<u128>();
+        let edges = self.edge_stack.capacity() * size_of::<(EventId, EventId)>();
+        self.fixed_bytes + self.orders.len() * self.order_bytes + memo + edges
     }
 
-    /// Sleep-set / naive schedule DFS (the Mazurkiewicz baseline and the
-    /// oracle).
-    fn explore(&mut self, st: &MachState, sleep: &BitSet) {
+    /// False once the search must unwind: truncated, or stopped by the
+    /// budget, which is checked here once per DFS step.
+    fn proceed(&mut self) -> bool {
         if self.truncated || self.stopped.is_some() {
-            return;
+            return false;
         }
         if let Some(budget) = self.budget {
             if let Err(e) = budget.check(self.heap_estimate()) {
                 self.stopped = Some(e);
-                return;
+                return false;
             }
         }
-        if self.ctx.is_complete(st) {
+        true
+    }
+
+    /// Executes `e` (the next event of `p`) from the current depth into
+    /// the next: machine state, schedule, and the scan when pruning. The
+    /// result undoes the scan step via [`Enumerator::ascend`].
+    fn descend(&mut self, p: ProcessId, e: EventId) -> Option<(ScanUndo, usize)> {
+        let depth = self.schedule.len();
+        let (cur, next) = self.states.split_at_mut(depth + 1);
+        next[0].clone_from(&cur[depth]);
+        self.ctx.step(&mut next[0], p);
+        self.schedule.push(e);
+        let mark = self.edge_stack.len();
+        let undo = self
+            .scan
+            .as_mut()?
+            .apply(self.ctx.exec().trace(), e, &mut self.edge_stack);
+        Some((undo, mark))
+    }
+
+    /// Reverses [`Enumerator::descend`].
+    fn ascend(&mut self, undo: Option<(ScanUndo, usize)>) {
+        self.schedule.pop();
+        if let (Some((undo, mark)), Some(scan)) = (undo, self.scan.as_mut()) {
+            scan.undo(undo, &self.edge_stack[mark..]);
+            self.edge_stack.truncate(mark);
+        }
+    }
+
+    /// Sleep-set / naive schedule DFS (the Mazurkiewicz baseline and the
+    /// oracle) from the state at the current depth.
+    fn explore(&mut self) {
+        if !self.proceed() {
+            return;
+        }
+        let depth = self.schedule.len();
+        if self.ctx.is_complete(&self.states[depth]) {
             self.record();
             return;
         }
         let mut enabled = self.enabled_pool.pop().unwrap_or_default();
-        self.ctx.co_enabled_into(st, &mut enabled);
-        let mut local_sleep = sleep.clone();
+        self.ctx.co_enabled_into(&self.states[depth], &mut enabled);
         for &(p, e) in &enabled {
-            if self.use_sleep && local_sleep.contains(e.index()) {
-                self.pruned_branches += 1;
-                continue;
-            }
-            let mut st2 = st.clone();
-            self.ctx.step(&mut st2, p);
-            // Events stay asleep only while independent of what executes.
-            let mut child_sleep = BitSet::new(local_sleep.capacity());
             if self.use_sleep {
-                for s in local_sleep.iter() {
-                    if !self.ctx.statically_dependent(EventId::new(s), e) {
-                        child_sleep.insert(s);
-                    }
+                if self.sleeps[depth].contains(e.index()) {
+                    self.pruned_branches += 1;
+                    continue;
                 }
+                // Events stay asleep only while independent of what
+                // executes.
+                let (cur, next) = self.sleeps.split_at_mut(depth + 1);
+                next[0].clone_from(&cur[depth]);
+                next[0].difference_with(&self.dep[e.index()]);
             }
-            self.schedule.push(e);
-            self.explore(&st2, &child_sleep);
-            self.schedule.pop();
+            let undo = self.descend(p, e);
+            self.explore();
+            self.ascend(undo);
             if self.truncated || self.stopped.is_some() {
                 break;
             }
             if self.use_sleep {
-                local_sleep.insert(e.index());
+                self.sleeps[depth].insert(e.index());
             }
         }
         self.enabled_pool.push(enabled);
@@ -230,22 +333,16 @@ impl Enumerator<'_, '_> {
     /// content — is pruned wholesale. Children are tried in event-index
     /// order, so the surviving representative of every canonical node is
     /// the lexicographically least path to it.
-    fn explore_canon(&mut self, st: &MachState, mode: CanonMode) {
-        if self.truncated || self.stopped.is_some() {
+    fn explore_canon(&mut self, mode: CanonMode) {
+        if !self.proceed() {
             return;
         }
-        if let Some(budget) = self.budget {
-            if let Err(e) = budget.check(self.heap_estimate()) {
-                self.stopped = Some(e);
-                return;
-            }
-        }
+        let depth = self.schedule.len();
+        let st = &self.states[depth];
         let scan = self.scan.as_ref().expect("canonical search seeds the scan");
         let ordering_hash = match mode {
             CanonMode::PairingHistory => scan.edge_hash(),
-            CanonMode::ClosedRelation => {
-                closed_hash(self.closed_stack.last().expect("closure stack seeded"))
-            }
+            CanonMode::ClosedRelation => closed_hash(&self.closed[depth]),
         };
         let key = combine_key(scan.state_key(st), ordering_hash);
         if !self.visited.insert(key) {
@@ -259,31 +356,16 @@ impl Enumerator<'_, '_> {
         let mut enabled = self.enabled_pool.pop().unwrap_or_default();
         self.ctx.co_enabled_into(st, &mut enabled);
         for &(p, e) in &enabled {
-            let mut st2 = st.clone();
-            self.ctx.step(&mut st2, p);
-            let mark = self.edge_stack.len();
-            let undo =
-                self.scan
-                    .as_mut()
-                    .unwrap()
-                    .apply(self.ctx.exec().trace(), e, &mut self.edge_stack);
-            if mode == CanonMode::ClosedRelation {
-                let mut next = self.closed_stack.last().expect("seeded").clone();
-                for i in mark..self.edge_stack.len() {
-                    let (a, b) = self.edge_stack[i];
-                    closed_insert(&mut next, a.index(), b.index(), &mut self.row_scratch);
+            let undo = self.descend(p, e);
+            if let (CanonMode::ClosedRelation, Some((_, mark))) = (mode, undo) {
+                let (cur, next) = self.closed.split_at_mut(depth + 1);
+                next[0].clone_from(&cur[depth]);
+                for &(a, b) in &self.edge_stack[mark..] {
+                    closed_insert(&mut next[0], a.index(), b.index(), &mut self.row_scratch);
                 }
-                self.closed_stack.push(next);
             }
-            self.schedule.push(e);
-            self.explore_canon(&st2, mode);
-            self.schedule.pop();
-            if mode == CanonMode::ClosedRelation {
-                self.closed_stack.pop();
-            }
-            let tail = &self.edge_stack[mark..];
-            self.scan.as_mut().unwrap().undo(undo, tail);
-            self.edge_stack.truncate(mark);
+            self.explore_canon(mode);
+            self.ascend(undo);
             if self.truncated || self.stopped.is_some() {
                 break;
             }
@@ -315,13 +397,52 @@ fn run(
         None
     };
     let use_sleep = config.prune && equiv.sleep_sets();
+    let trace = ctx.exec().trace();
+
+    // Schedule-independent work, once per enumeration.
+    let initial = ctx.initial_state();
+    let (sleeps, dep) = if use_sleep {
+        let dep = (0..n)
+            .map(|e| {
+                let mut row = BitSet::new(n);
+                for s in 0..n {
+                    if ctx.statically_dependent(EventId::new(s), EventId::new(e)) {
+                        row.insert(s);
+                    }
+                }
+                row
+            })
+            .collect();
+        (vec![BitSet::new(n); n + 1], dep)
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let scan = config.prune.then(|| ScanState::new(trace));
+    let closed_base = if config.prune {
+        closure::dfs_closure(&induce::base_edges(trace, ctx.effective_d()))
+            .expect("base edges of a valid execution form a DAG")
+    } else {
+        Relation::new(0)
+    };
+    let closed = if canon == Some(CanonMode::ClosedRelation) {
+        vec![closed_base.clone(); n + 1]
+    } else {
+        Vec::new()
+    };
+    // None of the above ever grows: the memory budget counts it once.
+    let leaf_matrices = if config.prune { 2 } else { 0 };
+    let fixed_bytes = (n + 1) * initial.heap_bytes()
+        + (sleeps.len() + dep.len()) * n.div_ceil(64) * size_of::<u64>()
+        + (closed.len() + leaf_matrices) * matrix_bytes(n)
+        + scan.as_ref().map_or(0, ScanState::heap_bytes);
+
     let mut en = Enumerator {
         ctx,
         max_schedules,
         use_sleep,
         canon,
         schedule: Vec::with_capacity(n),
-        seen: SeenOrders::new(),
+        seen: SeenKeys::new(),
         orders: Vec::new(),
         schedules_explored: 0,
         truncated: false,
@@ -330,29 +451,24 @@ fn run(
         stopped: None,
         // One Relation plus its 128-bit fingerprint per recorded order; a
         // closed n×n bit matrix plus container overhead.
-        order_bytes: (n * n).div_ceil(8) + 64 + 2 * std::mem::size_of::<u128>(),
+        order_bytes: matrix_bytes(n) + 2 * size_of::<u128>(),
+        fixed_bytes,
         enabled_pool: Vec::new(),
-        scan: canon.map(|_| ScanState::new(ctx.exec().trace())),
-        visited: FxHashSet::default(),
+        states: vec![initial; n + 1],
+        sleeps,
+        dep,
+        scan,
         edge_stack: Vec::new(),
-        closed_stack: Vec::new(),
+        edge_sets: SeenKeys::new(),
+        leaf: closed_base.clone(),
+        closed_base,
         row_scratch: BitSet::new(n),
+        visited: FxHashSet::default(),
+        closed,
     };
-    let st = ctx.initial_state();
     match canon {
-        Some(mode) => {
-            if mode == CanonMode::ClosedRelation {
-                let base = eo_model::induce::base_edges(ctx.exec().trace(), &ctx.effective_d());
-                let closed = closure::dfs_closure(&base)
-                    .expect("base edges of a valid execution form a DAG");
-                en.closed_stack.push(closed);
-            }
-            en.explore_canon(&st, mode);
-        }
-        None => {
-            let sleep = BitSet::new(n);
-            en.explore(&st, &sleep);
-        }
+        Some(mode) => en.explore_canon(mode),
+        None => en.explore(),
     }
     // Once per enumeration, never per DFS step: the ≤2% overhead budget
     // rules out probes inside the search itself.

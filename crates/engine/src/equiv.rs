@@ -207,7 +207,7 @@ impl Equivalence for GrainEquiv {
 
 /// Opaque undo record for one [`ScanState::apply`] step. The edges the
 /// step emitted are undone separately (the caller keeps them on its own
-/// stack and hands the slice back to [`ScanState::undo`] — XOR hashing
+/// stack and hands the slice back to [`ScanState::undo`] — XOR keying
 /// makes re-mixing them self-inverse).
 #[derive(Clone, Copy, Debug)]
 pub struct ScanUndo(UndoKind);
@@ -256,6 +256,13 @@ enum UndoKind {
 /// therefore have the same enabled events forever, emit the same future
 /// edge deltas, and complete to the same schedules — which is exactly the
 /// property that makes memoizing on the projection sound.
+///
+/// The scan also keys the *set* of pairing edges emitted so far
+/// ([`ScanState::edge_key`]). A complete schedule's induced order is
+/// `cl(base edges ∪ that set)`, so every pruned strategy dedups its
+/// leaves on this key before building any relation. Every buffer is
+/// reserved at its largest possible size up front: apply/undo never
+/// allocate, and [`ScanState::heap_bytes`] is fixed from construction on.
 pub struct ScanState {
     /// Per-semaphore FIFO token queues; `None` entries are initial tokens.
     tokens: Vec<VecDeque<Option<EventId>>>,
@@ -269,7 +276,7 @@ pub struct ScanState {
     waits: Vec<Vec<EventId>>,
     /// Per-variable: whether the `clear → current post` placement edges
     /// of the *current* post were already emitted (by its first Wait).
-    /// Guards the XOR edge hash against double-mixing: every subsequent
+    /// Guards the XOR edge key against double-mixing: every subsequent
     /// Wait on the same post would re-emit the identical edges.
     flushed: Vec<bool>,
     /// Per-semaphore count of `P(s)` operations not yet executed.
@@ -278,40 +285,54 @@ pub struct ScanState {
     rem_wait: Vec<u32>,
     /// Per-variable count of `Clear(v)` operations not yet executed.
     rem_clear: Vec<u32>,
-    /// XOR accumulator over position-free mixes of the emitted pairing
-    /// edges (each edge enters exactly once; XOR makes undo free).
-    edge_hash: u64,
+    /// XOR accumulator over position-free 128-bit mixes of the emitted
+    /// pairing edges (each edge enters exactly once; XOR makes undo free).
+    edge_key: u128,
 }
 
 impl ScanState {
     /// The initial scan state of `trace`, with the remaining-operation
-    /// totals counted from the full event list.
+    /// totals counted from the full event list and every queue and list
+    /// reserved at its final length.
     pub fn new(trace: &Trace) -> Self {
         let mut rem_p = vec![0u32; trace.semaphores.len()];
+        let mut n_v = vec![0usize; trace.semaphores.len()];
         let mut rem_wait = vec![0u32; trace.event_vars.len()];
         let mut rem_clear = vec![0u32; trace.event_vars.len()];
         for e in &trace.events {
             match &e.op {
+                Op::SemV(s) => n_v[s.index()] += 1,
                 Op::SemP(s) => rem_p[s.index()] += 1,
                 Op::Wait(v) => rem_wait[v.index()] += 1,
                 Op::Clear(v) => rem_clear[v.index()] += 1,
                 _ => {}
             }
         }
+        let reserved = |counts: &[u32]| -> Vec<Vec<EventId>> {
+            counts
+                .iter()
+                .map(|&k| Vec::with_capacity(k as usize))
+                .collect()
+        };
         ScanState {
             tokens: trace
                 .semaphores
                 .iter()
-                .map(|s| (0..s.initial).map(|_| None).collect())
+                .zip(&n_v)
+                .map(|(s, &vs)| {
+                    let mut q = VecDeque::with_capacity(s.initial as usize + vs);
+                    q.extend((0..s.initial).map(|_| None));
+                    q
+                })
                 .collect(),
             current_post: vec![None; trace.event_vars.len()],
-            clears: vec![Vec::new(); trace.event_vars.len()],
-            waits: vec![Vec::new(); trace.event_vars.len()],
+            clears: reserved(&rem_clear),
+            waits: reserved(&rem_wait),
             flushed: vec![false; trace.event_vars.len()],
             rem_p,
             rem_wait,
             rem_clear,
-            edge_hash: 0,
+            edge_key: 0,
         }
     }
 
@@ -324,8 +345,8 @@ impl ScanState {
         eid: EventId,
         edges_out: &mut Vec<(EventId, EventId)>,
     ) -> ScanUndo {
-        let mut emit = |hash: &mut u64, a: EventId, b: EventId| {
-            *hash ^= mix_edge(a, b);
+        let mut emit = |key: &mut u128, a: EventId, b: EventId| {
+            *key ^= mix_edge(a, b);
             edges_out.push((a, b));
         };
         match &trace.event(eid).op {
@@ -339,7 +360,7 @@ impl ScanState {
                     .expect("invalid schedule: P on an empty semaphore");
                 self.rem_p[s.index()] -= 1;
                 if let Some(v) = token {
-                    emit(&mut self.edge_hash, v, eid);
+                    emit(&mut self.edge_key, v, eid);
                 }
                 ScanUndo(UndoKind::SemP {
                     sem: s.index(),
@@ -365,8 +386,7 @@ impl ScanState {
                     prev_flushed: self.flushed[i],
                 });
                 for &w in &self.waits[i] {
-                    self.edge_hash ^= mix_edge(w, eid);
-                    edges_out.push((w, eid));
+                    emit(&mut self.edge_key, w, eid);
                 }
                 self.current_post[i] = None;
                 self.flushed[i] = false;
@@ -381,15 +401,14 @@ impl ScanState {
                     prev_flushed: self.flushed[i],
                 });
                 if let Some(p) = self.current_post[i] {
-                    emit(&mut self.edge_hash, p, eid);
+                    emit(&mut self.edge_key, p, eid);
                     // The clear→post placements belong to the *post*, so
                     // only this post's first Wait mixes them (a Clear
                     // cannot intervene between two Waits on one post — it
                     // would reset `current_post`).
                     if !self.flushed[i] {
                         for &c in &self.clears[i] {
-                            self.edge_hash ^= mix_edge(c, p);
-                            edges_out.push((c, p));
+                            emit(&mut self.edge_key, c, p);
                         }
                         self.flushed[i] = true;
                     }
@@ -406,7 +425,7 @@ impl ScanState {
     /// slice that step appended.
     pub fn undo(&mut self, undo: ScanUndo, edges: &[(EventId, EventId)]) {
         for &(a, b) in edges {
-            self.edge_hash ^= mix_edge(a, b);
+            self.edge_key ^= mix_edge(a, b);
         }
         match undo.0 {
             UndoKind::None => {}
@@ -443,11 +462,22 @@ impl ScanState {
         }
     }
 
-    /// XOR hash of the pairing edges emitted so far (the
-    /// [`CanonMode::PairingHistory`] ordering component).
+    /// 64-bit XOR hash of the pairing edges emitted so far (the
+    /// [`CanonMode::PairingHistory`] ordering component): the low lane of
+    /// [`ScanState::edge_key`].
     #[inline]
     pub fn edge_hash(&self) -> u64 {
-        self.edge_hash
+        self.edge_key as u64
+    }
+
+    /// 128-bit XOR key of the *set* of pairing edges emitted so far. Each
+    /// edge is emitted at most once along a schedule (a P, Wait or Clear
+    /// is the target of its own edges, and a post's clear placements are
+    /// flushed once), so equal sets have equal keys; distinct sets
+    /// collide with probability about 2⁻¹²⁸ per pair.
+    #[inline]
+    pub fn edge_key(&self) -> u128 {
+        self.edge_key
     }
 
     /// The future-relevant canonical key of `(st, self)`, **excluding**
@@ -511,6 +541,8 @@ impl ScanState {
     }
 
     /// Approximate heap bytes of the scan state (budget accounting).
+    /// Constant after [`ScanState::new`], which reserves every buffer at
+    /// its final size.
     pub fn heap_bytes(&self) -> usize {
         let deques: usize = self.tokens.iter().map(|q| q.capacity() * 16).sum();
         let lists: usize = self
@@ -564,11 +596,15 @@ fn tag(kind: u64, slot: u64, value: u64) -> u64 {
     (kind << 60) ^ (slot << 24) ^ value
 }
 
-/// Mixer for one pairing edge; XOR-accumulated, so apply/undo are the
-/// same operation.
+/// 128-bit mixer for one pairing edge; XOR-accumulated, so apply/undo
+/// are the same operation. The low lane is the 64-bit pairing-history
+/// hash; the high lane mixes the same edge under another salt.
 #[inline]
-fn mix_edge(a: EventId, b: EventId) -> u64 {
-    mix64(0x9E4C_55AB_0E5B_D3A1 ^ ((a.index() as u64) << 32) ^ b.index() as u64)
+fn mix_edge(a: EventId, b: EventId) -> u128 {
+    let edge = ((a.index() as u64) << 32) ^ b.index() as u64;
+    let lo = mix64(0x9E4C_55AB_0E5B_D3A1 ^ edge);
+    let hi = mix64(0x5851_F42D_4C95_7F2D ^ edge.rotate_left(29));
+    ((hi as u128) << 64) | lo as u128
 }
 
 /// Finalizer of `splitmix64` (full-avalanche bijective mixing).
@@ -588,7 +624,7 @@ mod tests {
     use eo_model::induce;
 
     /// Replaying a complete schedule through the incremental scan must
-    /// reproduce exactly the edge set (and XOR hash) of the reference
+    /// reproduce exactly the edge set (and XOR key) of the reference
     /// scan in `eo_model::induce`, and undoing everything must return to
     /// the pristine state.
     #[test]
@@ -600,6 +636,7 @@ mod tests {
         let schedule: Vec<EventId> = (0..5).map(EventId::new).collect();
         let mut scan = ScanState::new(exec.trace());
         let initial_key = scan.state_key(&ctx.initial_state());
+        let heap = scan.heap_bytes();
         let mut st = ctx.initial_state();
         let mut edges = Vec::new();
         let mut undos = Vec::new();
@@ -609,19 +646,30 @@ mod tests {
             undos.push(scan.apply(exec.trace(), e, &mut edges));
             ctx.step(&mut st, exec.trace().event(e).process);
         }
+        assert_eq!(scan.heap_bytes(), heap, "the scan reserves up front");
         // The emitted pairing edges + base edges = the reference edges.
         let d = ctx.effective_d();
-        let reference = induce::induced_edges(exec.trace(), &d, &schedule);
-        let mut rebuilt = induce::base_edges(exec.trace(), &d);
+        let reference = induce::induced_edges(exec.trace(), d, &schedule);
+        let mut rebuilt = induce::base_edges(exec.trace(), d);
         for &(a, b) in &edges {
             rebuilt.insert(a.index(), b.index());
         }
         assert_eq!(rebuilt, reference);
-        // Undo everything: hash and structural key return to initial.
+        // The incremental key is the key of the reference pairing-edge
+        // set, recomputed from scratch.
+        let pairing = induce::pairing_edges(exec.trace(), &schedule);
+        assert!(pairing.pair_count() > 0, "the schedule pairs something");
+        let recomputed = pairing.pairs().fold(0u128, |k, (a, b)| {
+            k ^ mix_edge(EventId::new(a), EventId::new(b))
+        });
+        assert_eq!(scan.edge_key(), recomputed);
+        assert_eq!(scan.edge_hash(), recomputed as u64);
+        // Undo everything: keys and structural key return to initial.
         for (undo, mark) in undos.into_iter().zip(marks).rev() {
             let tail: Vec<_> = edges.drain(mark..).collect();
             scan.undo(undo, &tail);
         }
+        assert_eq!(scan.edge_key(), 0);
         assert_eq!(scan.edge_hash(), 0);
         assert_eq!(scan.state_key(&ctx.initial_state()), initial_key);
     }

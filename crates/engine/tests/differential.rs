@@ -13,6 +13,11 @@
 //! coarsely `normal-form` and `grain` quotient the schedule space, the
 //! set of induced orders — and every summary relation built from it —
 //! must be bit-identical to the sleep-set Mazurkiewicz baseline.
+//!
+//! And it covers the incremental enumeration leaves: the sleep-set search
+//! that closes each pairing-edge set once must visit, count, truncate and
+//! record exactly like a plain sleep-set DFS that rebuilds every
+//! schedule's induced order from scratch.
 
 use eo_engine::EquivStrategy;
 use eo_engine::{enumerate_classes, enumerate_classes_with, parallel::explore_statespace_parallel};
@@ -20,7 +25,9 @@ use eo_engine::{
     explore_statespace, explore_statespace_baseline, queries, FeasibilityMode, OrderingSummary,
     QuerySession, SearchCtx, StateSpaceResult,
 };
-use eo_model::{EventId, ProgramExecution};
+use eo_model::{EventId, MachState, ProgramExecution};
+use eo_relations::{BitSet, Relation};
+use std::collections::HashSet;
 
 const BUDGET: usize = 1 << 22;
 
@@ -268,4 +275,163 @@ fn e6_scaling_workloads_bit_identical() {
         assert_explorers_agree(&exec, FeasibilityMode::PreserveDependences);
         assert_strategies_agree(&exec, FeasibilityMode::PreserveDependences);
     }
+}
+
+/// A plain sleep-set DFS over schedules, kept here as the reference for
+/// the engine's incremental one: every child state is a fresh clone, every
+/// child sleep set is filtered bit by bit through
+/// [`SearchCtx::statically_dependent`], and every complete schedule's
+/// order is rebuilt from scratch by [`SearchCtx::induced_order`] and
+/// deduplicated on the full matrix.
+struct ReferenceSleepDfs<'c, 'a> {
+    ctx: &'c SearchCtx<'a>,
+    cap: usize,
+    schedule: Vec<EventId>,
+    seen: HashSet<Relation>,
+    orders: Vec<Relation>,
+    schedules_explored: usize,
+    truncated: bool,
+    pruned_branches: usize,
+}
+
+impl ReferenceSleepDfs<'_, '_> {
+    fn run(ctx: &SearchCtx<'_>, cap: usize) -> (Vec<Relation>, usize, bool, usize) {
+        let mut dfs = ReferenceSleepDfs {
+            ctx,
+            cap,
+            schedule: Vec::new(),
+            seen: HashSet::new(),
+            orders: Vec::new(),
+            schedules_explored: 0,
+            truncated: false,
+            pruned_branches: 0,
+        };
+        dfs.explore(&ctx.initial_state(), &BitSet::new(ctx.n_events()));
+        (
+            dfs.orders,
+            dfs.schedules_explored,
+            dfs.truncated,
+            dfs.pruned_branches,
+        )
+    }
+
+    fn explore(&mut self, st: &MachState, sleep: &BitSet) {
+        if self.truncated {
+            return;
+        }
+        if self.ctx.is_complete(st) {
+            if self.schedules_explored >= self.cap {
+                self.truncated = true;
+                return;
+            }
+            self.schedules_explored += 1;
+            let order = self.ctx.induced_order(&self.schedule);
+            if self.seen.insert(order.clone()) {
+                self.orders.push(order);
+            }
+            return;
+        }
+        let mut local_sleep = sleep.clone();
+        for (p, e) in self.ctx.co_enabled(st) {
+            if local_sleep.contains(e.index()) {
+                self.pruned_branches += 1;
+                continue;
+            }
+            let mut st2 = st.clone();
+            self.ctx.step(&mut st2, p);
+            let mut child_sleep = BitSet::new(local_sleep.capacity());
+            for s in local_sleep.iter() {
+                if !self.ctx.statically_dependent(EventId::new(s), e) {
+                    child_sleep.insert(s);
+                }
+            }
+            self.schedule.push(e);
+            self.explore(&st2, &child_sleep);
+            self.schedule.pop();
+            if self.truncated {
+                break;
+            }
+            local_sleep.insert(e.index());
+        }
+    }
+}
+
+/// Asserts the incremental sleep-set search records the same `orders`
+/// sequence, visits and prunes the same schedules, and truncates at the
+/// same point as the from-scratch reference, at caps from one schedule up
+/// to 2²⁰.
+fn assert_replays_reference(label: &str, exec: &ProgramExecution, mode: FeasibilityMode) {
+    let ctx = SearchCtx::new(exec, mode);
+    for cap in [1, 2, 17, 1 << 16, 1 << 20] {
+        let fast = enumerate_classes_with(&ctx, cap, EquivStrategy::Mazurkiewicz);
+        let (orders, schedules, truncated, pruned) = ReferenceSleepDfs::run(&ctx, cap);
+        assert_eq!(fast.orders, orders, "{label} cap {cap}: orders");
+        assert_eq!(
+            fast.schedules_explored, schedules,
+            "{label} cap {cap}: schedules"
+        );
+        assert_eq!(fast.truncated, truncated, "{label} cap {cap}: truncated");
+        assert_eq!(
+            fast.pruned_branches, pruned,
+            "{label} cap {cap}: pruned branches"
+        );
+    }
+}
+
+#[test]
+fn incremental_leaves_replay_the_reference_on_fixtures() {
+    for (i, trace) in fixture_traces().into_iter().enumerate() {
+        let exec = trace.to_execution().unwrap();
+        for mode in [
+            FeasibilityMode::PreserveDependences,
+            FeasibilityMode::IgnoreDependences,
+        ] {
+            assert_replays_reference(&format!("fixture {i} {mode:?}"), &exec, mode);
+        }
+    }
+}
+
+/// Event-style programs with `Clear`, where distinct pairing-edge sets
+/// can close to the same order (seeds 0 and 41 do), so the order dedup
+/// behind the edge-set memo is exercised too.
+#[test]
+fn incremental_leaves_replay_the_reference_on_event_programs() {
+    use eo_lang::generator::{generate_trace, WorkloadSpec};
+    for seed in [0, 1, 2, 3, 41] {
+        let mut spec = WorkloadSpec::small_events(seed);
+        spec.processes = 4;
+        spec.events_per_process = 4;
+        let exec = generate_trace(&spec, 100).to_execution().unwrap();
+        for mode in [
+            FeasibilityMode::PreserveDependences,
+            FeasibilityMode::IgnoreDependences,
+        ] {
+            assert_replays_reference(&format!("events-4x4 seed {seed} {mode:?}"), &exec, mode);
+        }
+    }
+}
+
+// The pitfall ladder: the 7-decoy rung truncates at 2¹⁶ schedules, the 8-
+// and 9-decoy rungs at 2²⁰ too. One test per heavy rung, so the harness
+// runs them side by side.
+
+#[test]
+fn incremental_leaves_replay_the_reference_on_pitfall_4_to_7() {
+    for decoys in 4..=7 {
+        let exec = pitfall_exec(decoys);
+        let label = format!("pitfall-{decoys}");
+        assert_replays_reference(&label, &exec, FeasibilityMode::IgnoreDependences);
+    }
+}
+
+#[test]
+fn incremental_leaves_replay_the_reference_on_pitfall_8() {
+    let exec = pitfall_exec(8);
+    assert_replays_reference("pitfall-8", &exec, FeasibilityMode::IgnoreDependences);
+}
+
+#[test]
+fn incremental_leaves_replay_the_reference_on_pitfall_9() {
+    let exec = pitfall_exec(9);
+    assert_replays_reference("pitfall-9", &exec, FeasibilityMode::IgnoreDependences);
 }

@@ -19,7 +19,7 @@ impl ProcRef {
 }
 
 /// Reference to a [`BarrierDef`] within a [`Program`]. Barriers are a
-/// *surface* primitive: they never reach a trace — [`crate::desugar`]
+/// *surface* primitive: they never reach a trace — [`crate::desugar()`]
 /// lowers every wait to pairwise semaphore handshakes first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BarrierId(u32);

@@ -22,7 +22,7 @@
 //!
 //! On top of that core, three *surface* primitive families — barriers,
 //! mutex/condvar monitors, and bounded channels — are defined by sound
-//! desugaring into semaphores ([`desugar`]): the paper's Theorems 1–4
+//! desugaring into semaphores ([`desugar()`]): the paper's Theorems 1–4
 //! and every analysis layer apply unchanged to the core form, while the
 //! interpreter also executes the surface form *directly* (a second,
 //! independent reference semantics) so the two can be differentially

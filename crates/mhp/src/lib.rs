@@ -131,8 +131,8 @@ impl MhpAnalysis {
     /// Programs using the surface primitives (barriers, mutex/condvar
     /// monitors, bounded channels) are desugared to the semaphore core
     /// first and the fixpoint runs there; verdicts are mapped back to
-    /// surface numbering through the provenance map (see
-    /// [`Self::analyze_surface`] for the mapping rules). Barrier
+    /// surface numbering through the provenance map (the private
+    /// `analyze_surface` documents the mapping rules). Barrier
     /// awareness falls out of the existing semaphore meet rule: every
     /// handshake `P` in the lowering has exactly one `V` supplier, so the
     /// intersection degenerates to that supplier and the fixpoint derives

@@ -44,16 +44,16 @@ use eo_relations::{closure, Relation};
 pub fn base_edges(trace: &Trace, d: &Relation) -> Relation {
     let n = trace.n_events();
     let mut rel = Relation::new(n);
+    let per_process = trace.per_process();
 
     // Program order (immediate edges; closure restores the rest).
-    for list in trace.per_process() {
+    for list in &per_process {
         for pair in list.windows(2) {
             rel.insert(pair[0].index(), pair[1].index());
         }
     }
 
     // Fork and join edges.
-    let per_process = trace.per_process();
     for e in &trace.events {
         match &e.op {
             Op::Fork(children) => {
@@ -99,7 +99,30 @@ pub fn base_edges(trace: &Trace, d: &Relation) -> Relation {
 /// checks arbitrary input).
 pub fn induced_edges(trace: &Trace, d: &Relation, order: &[EventId]) -> Relation {
     let mut rel = base_edges(trace, d);
+    scan_pairings(trace, order, |a, b| {
+        rel.insert(a.index(), b.index());
+    });
+    rel
+}
 
+/// The schedule-dependent part of [`induced_edges`]: the semaphore
+/// pairings and event-variable causality edges of `order` (families 4
+/// and 5), without the base edges. The induced edge set is exactly
+/// `base_edges(trace, d) ∪ pairing_edges(trace, order)`.
+pub fn pairing_edges(trace: &Trace, order: &[EventId]) -> Relation {
+    let mut rel = Relation::new(trace.n_events());
+    scan_pairings(trace, order, |a, b| {
+        rel.insert(a.index(), b.index());
+    });
+    rel
+}
+
+/// The pairing scan behind [`induced_edges`] and [`pairing_edges`]:
+/// replays `order` through per-semaphore FIFO token queues and
+/// per-event-variable causality state, calling `emit(a, b)` for every
+/// pairing edge `a → b` (a clear→post placement edge once per Wait that
+/// observes the post).
+fn scan_pairings(trace: &Trace, order: &[EventId], mut emit: impl FnMut(EventId, EventId)) {
     // Per-semaphore FIFO token queues. `None` entries are initial tokens.
     let mut tokens: Vec<std::collections::VecDeque<Option<EventId>>> = trace
         .semaphores
@@ -134,7 +157,7 @@ pub fn induced_edges(trace: &Trace, d: &Relation, order: &[EventId]) -> Relation
                     .pop_front()
                     .expect("invalid schedule: P on an empty semaphore");
                 if let Some(v) = token {
-                    rel.insert(v.index(), eid.index());
+                    emit(v, eid);
                 }
             }
             Op::Post(v) => {
@@ -149,7 +172,7 @@ pub fn induced_edges(trace: &Trace, d: &Relation, order: &[EventId]) -> Relation
                 // Every Wait that already fired must stay before this
                 // Clear in any re-execution of this class.
                 for &w in &st.waits {
-                    rel.insert(w.index(), eid.index());
+                    emit(w, eid);
                 }
                 st.clears.push(eid);
             }
@@ -157,11 +180,11 @@ pub fn induced_edges(trace: &Trace, d: &Relation, order: &[EventId]) -> Relation
                 let st = &mut evs[v.index()];
                 assert!(st.flag, "invalid schedule: Wait on a clear flag");
                 if let Some(p) = st.current_post {
-                    rel.insert(p.index(), eid.index());
+                    emit(p, eid);
                     // All earlier Clears precede the triggering Post (a
                     // Clear between would have unset the flag).
                     for &c in &st.clears {
-                        rel.insert(c.index(), p.index());
+                        emit(c, p);
                     }
                 }
                 // `current_post == None` with the flag set means the
@@ -172,7 +195,6 @@ pub fn induced_edges(trace: &Trace, d: &Relation, order: &[EventId]) -> Relation
             Op::Compute | Op::Fork(_) | Op::Join(_) => {}
         }
     }
-    rel
 }
 
 /// The transitively closed partial order induced by `order` — one element
@@ -245,6 +267,35 @@ mod tests {
         assert!(edges.contains(v2.index(), q2.index()));
         assert!(!edges.contains(v2.index(), q1.index()));
         assert!(!edges.contains(v1.index(), q2.index()));
+    }
+
+    #[test]
+    fn pairing_edges_complete_the_base_edges() {
+        // σ = Clear; V; Post; P; Wait: one edge of each pairing family on
+        // top of the program order of the two-event process.
+        let mut tb = TraceBuilder::new();
+        let p0 = tb.process("p0");
+        let p1 = tb.process("p1");
+        let p2 = tb.process("p2");
+        let s = tb.semaphore("s", 0);
+        let v = tb.event_var("v", true);
+        let c = tb.push(p0, Op::Clear(v));
+        let sv = tb.push(p0, Op::SemV(s));
+        let post = tb.push(p1, Op::Post(v));
+        let sp = tb.push(p1, Op::SemP(s));
+        let w = tb.push(p2, Op::Wait(v));
+        let t = tb.build().unwrap();
+        let d = Relation::new(5);
+        let order = t.observed_order();
+        let pairing = pairing_edges(&t, &order);
+        let mut want = Relation::new(5);
+        for (a, b) in [(sv, sp), (post, w), (c, post)] {
+            want.insert(a.index(), b.index());
+        }
+        assert_eq!(pairing, want);
+        let mut rebuilt = base_edges(&t, &d);
+        rebuilt.union_with(&pairing);
+        assert_eq!(rebuilt, induced_edges(&t, &d, &order));
     }
 
     #[test]

@@ -13,10 +13,28 @@
 /// allocation-free after construction and set algebra runs word-parallel.
 /// The capacity is fixed at construction; inserting an index `>= len`
 /// panics (that is always a logic error upstream, never data-dependent).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitSet {
     len: usize,
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    #[inline]
+    fn clone(&self) -> Self {
+        BitSet {
+            len: self.len,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Buffer-reusing `clone_from` (the derive would drop and
+    /// reallocate): copying between equal-capacity sets allocates nothing.
+    #[inline]
+    fn clone_from(&mut self, src: &Self) {
+        self.len = src.len;
+        self.words.clone_from(&src.words);
+    }
 }
 
 #[inline]

@@ -18,10 +18,29 @@ use crate::closure;
 /// deduplicate induced partial orders: two feasible program executions are
 /// the same element of F(P) exactly when their induced →T′ matrices are
 /// equal.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Relation {
     len: usize,
     rows: Vec<BitSet>,
+}
+
+impl Clone for Relation {
+    #[inline]
+    fn clone(&self) -> Self {
+        Relation {
+            len: self.len,
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Buffer-reusing `clone_from`: row by row through
+    /// [`BitSet::clone_from`], so copying between equal-size relations
+    /// allocates nothing.
+    #[inline]
+    fn clone_from(&mut self, src: &Self) {
+        self.len = src.len;
+        self.rows.clone_from(&src.rows);
+    }
 }
 
 impl Relation {
@@ -350,6 +369,16 @@ mod tests {
         let mut want = edges;
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn clone_from_copies_across_sizes() {
+        let src = Relation::from_edges(5, [(0, 4), (3, 1)]);
+        for len in [0, 3, 5, 70] {
+            let mut dst = Relation::from_edges(len, (1..len).map(|i| (i - 1, i)));
+            dst.clone_from(&src);
+            assert_eq!(dst, src, "clone_from into a relation over {len}");
+        }
     }
 
     #[test]
