@@ -13,15 +13,37 @@
 //! All state is held in a [`QueryMemo`]: states are interned into the
 //! same [`StateTable`] arena the explorers use, so the memo tables are
 //! indexed by dense [`StateId`]s instead of hashing full states per probe.
-//! Two memo lifetimes coexist:
+//! Three memo lifetimes coexist:
 //!
-//! * the **dead** set ("no complete schedule is reachable from here") is a
-//!   property of the state alone — independent of which pair a query asks
-//!   about — so it persists for the life of the memo and accelerates
-//!   every later query;
+//! * the **chart** is the part of the cut lattice searches have walked so
+//!   far. Each interned state's co-enabled list is computed once, into one
+//!   flat edge arena, and each edge carries a successor slot that the
+//!   first search to step it fills. A later search walks the edge by
+//!   reading the slot: no state clone, no machine step, no intern probe.
+//!   The chart describes the lattice alone, so it persists for the life of
+//!   the memo;
+//! * **completability** ("is a complete schedule reachable from here?")
+//!   is also a property of the state alone — independent of which pair a
+//!   query asks about — so it persists too. A state is *dead* once a
+//!   completion walk has exhausted it and *live* once it sat on the stack
+//!   of a completion walk that succeeded. Both witness searches skip dead
+//!   children, whose subtrees hold no witness and are already fully
+//!   interned, and the pair probe answers at once when the state it lands
+//!   in is already decided;
 //! * **visited** sets are per-query (a state pruned while hunting one pair
 //!   may matter for another), implemented as an epoch stamp per arena slot
 //!   so starting a query is O(1), not O(states).
+//!
+//! The memos change the cost of a query, never its outcome: every answer
+//! and witness schedule, and the sequence in which states are interned,
+//! are those of a search that re-derives the lattice on every walk (the
+//! differential suite keeps such a search as its reference). The pair
+//! probe still steps the state between its two events in a scratch state
+//! and interns only the state both land in, so
+//! [`QueryMemo::interned_states`] and every state-cap trip point are
+//! those of that search too. The memory budget is checked against a
+//! running estimate that counts each interned state's table and memo
+//! slots and each charted edge.
 //!
 //! A [`QueryMemo`] does not borrow the [`SearchCtx`] it searches — every
 //! query method takes the context as a parameter — so long-lived callers
@@ -43,49 +65,101 @@ use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
 use crate::statetable::{StateId, StateTable};
 use eo_model::{EventId, MachState, ProcessId};
+use std::mem::size_of;
 
-/// One DFS stack frame: an interned state plus its co-enabled list (a
-/// buffer recycled through the session pool) and a cursor into it.
-struct Frame {
-    id: StateId,
-    enabled: Vec<(ProcessId, EventId)>,
-    k: usize,
+/// What the memo knows about reaching completion from a state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reach {
+    /// Not decided yet.
+    Unknown,
+    /// No complete schedule is reachable.
+    Dead,
+    /// Some complete schedule is reachable (and the state is not itself
+    /// complete).
+    Live,
+}
+
+/// An unfilled chart entry: an edge no search has stepped yet, or a state
+/// whose co-enabled list is not charted yet.
+const UNSET: u32 = u32::MAX;
+
+/// The memo's record of one interned state.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// `edges[start..end]` is the state's co-enabled list; `start` is
+    /// [`UNSET`] until the list is charted.
+    start: u32,
+    end: u32,
+    /// `stamp == epoch` ⇔ the current query visited the state.
+    stamp: u32,
+    /// Whether completion is reachable from the state. Query-independent,
+    /// hence persistent.
+    reach: Reach,
+}
+
+impl Slot {
+    /// A freshly interned state's record: uncharted, unvisited, undecided.
+    const FRESH: Slot = Slot {
+        start: UNSET,
+        end: UNSET,
+        stamp: 0,
+        reach: Reach::Unknown,
+    };
+}
+
+/// One DFS stack frame: a state and a cursor into its charted edges.
+type Frame = (StateId, u32);
+
+/// Bytes one charted edge costs: its `(process, event)` entry plus its
+/// successor slot.
+const EDGE_BYTES: usize = size_of::<(ProcessId, EventId)>() + size_of::<u32>();
+
+/// An edge-arena offset as a `u32`.
+fn offset(k: usize) -> u32 {
+    u32::try_from(k).expect("edge arena outgrew u32 offsets")
 }
 
 /// Reusable witness-query state for one execution: the interned state
-/// arena, the persistent dead-state memo, the per-query visited stamps,
-/// and the scratch-buffer pool. See the module docs for why the memo
+/// arena, the lattice chart, the persistent completability memo and the
+/// per-query visited stamps. See the module docs for why the memo
 /// lifetimes differ.
 ///
 /// A memo is built *from* a [`SearchCtx`] but does not borrow it; every
 /// query takes the context as a parameter. Passing a context other than
 /// the one the memo was opened for (same execution, same mode) is a logic
-/// error: the interned states and dead-set would describe a different
-/// lattice and the answers would be garbage.
+/// error: the interned states, chart and completability memo would
+/// describe a different lattice and the answers would be garbage.
 pub struct QueryMemo {
     table: StateTable,
     root: StateId,
-    /// `dead[id]` ⇔ no complete schedule is reachable from `id`.
-    /// Query-independent, hence persistent.
-    dead: Vec<bool>,
-    /// `stamp[id] == epoch` ⇔ `id` was visited by the current query.
-    stamp: Vec<u32>,
+    /// `slots[id]` = the memo's record of state `id`.
+    slots: Vec<Slot>,
+    /// Every charted co-enabled list, back to back.
+    edges: Vec<(ProcessId, EventId)>,
+    /// `succ[k]` = the state edge `k` leads to, or [`UNSET`] until some
+    /// search steps it.
+    succ: Vec<u32>,
+    /// The current query's stamp.
     epoch: u32,
-    /// Recycled co-enabled buffers for DFS frames.
-    pool: Vec<Vec<(ProcessId, EventId)>>,
     /// Scratch for completion tails probed (and discarded) by overlap
     /// checks.
     tail: Vec<EventId>,
-    /// The one state that walks every lattice edge: `clone_from` reuses
-    /// its buffers, so stepping allocates only when a fresh state must be
+    /// Scratch co-enabled list, copied into `edges` when a state is
+    /// charted.
+    enabled: Vec<(ProcessId, EventId)>,
+    /// The one state that steps lattice edges: `clone_from` reuses its
+    /// buffers, so stepping allocates only when a fresh state must be
     /// interned.
     scratch: MachState,
     /// Supervisor budget, checked once per DFS step (an unlimited budget
     /// makes every check one relaxed atomic load).
     budget: Budget,
-    /// Approximate bytes each interned state costs (for the memory
-    /// budget): the state itself plus the parallel memo slots.
+    /// Bytes each interned state costs: its table slots plus its memo
+    /// slots.
     per_state: usize,
+    /// Running storage estimate for the memory budget: every interned
+    /// state at `per_state` plus every charted edge at [`EDGE_BYTES`].
+    bytes: usize,
 }
 
 impl QueryMemo {
@@ -99,35 +173,39 @@ impl QueryMemo {
     /// variants check it once per DFS step and surface the first
     /// exhausted resource as an [`EngineError`].
     pub fn with_budget(ctx: &SearchCtx<'_>, budget: Budget) -> Self {
+        let initial = ctx.initial_state();
+        let per_state = StateTable::bytes_per_state(&initial) + size_of::<Slot>();
         let mut table = StateTable::new();
-        let (root, _) = table.intern(ctx.initial_state());
-        let per_state = std::mem::size_of::<MachState>() + ctx.initial_state().heap_bytes() + 8;
+        let (root, _) = table.intern_ref(&initial);
         QueryMemo {
             table,
             root,
-            dead: vec![false],
-            stamp: vec![0],
+            slots: vec![Slot::FRESH],
+            edges: Vec::new(),
+            succ: Vec::new(),
             epoch: 0,
-            pool: Vec::new(),
             tail: Vec::new(),
-            scratch: ctx.initial_state(),
+            enabled: Vec::new(),
+            scratch: initial,
             budget,
             per_state,
+            bytes: per_state,
         }
     }
 
-    /// Replaces the budget later queries run under. The interned arena
-    /// and dead-set memo are kept — they are budget-independent facts.
+    /// Replaces the budget later queries run under. The interned arena,
+    /// chart and completability memo are kept — they are
+    /// budget-independent facts.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
 
-    /// One budget checkpoint: the interned-state count doubles as both the
-    /// state-cap measure and the basis of the storage estimate.
+    /// One budget checkpoint: the interned-state count is the state-cap
+    /// measure, the running byte count the storage estimate.
     #[inline]
     fn checkpoint(&self) -> Result<(), EngineError> {
         self.budget.check_states(self.table.len())?;
-        self.budget.check(self.table.len() * self.per_state)
+        self.budget.check(self.bytes)
     }
 
     /// Number of distinct states interned so far — grows monotonically as
@@ -138,30 +216,58 @@ impl QueryMemo {
         self.table.len()
     }
 
-    /// Fires `p`'s next event out of state `id` (into the scratch state —
-    /// no allocation) and interns the result, growing the parallel memo
-    /// arrays on a fresh insert.
-    fn step_and_intern(
-        &mut self,
-        ctx: &SearchCtx<'_>,
-        id: StateId,
-        p: ProcessId,
-        e: EventId,
-    ) -> StateId {
-        let Self {
-            table,
-            scratch,
-            dead,
-            stamp,
-            ..
-        } = self;
-        scratch.clone_from(table.get(id));
-        let mut fp = table.fingerprint(id);
-        ctx.apply_keyed(scratch, p, e, &mut fp);
-        let (cid, fresh) = table.intern_ref_keyed(scratch, fp);
+    /// The heap bytes the memo's per-state and per-edge stores hold, by
+    /// length: what the running estimate must never fall below.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.table.approx_bytes()
+            + self.slots.len() * size_of::<Slot>()
+            + self.edges.len() * size_of::<(ProcessId, EventId)>()
+            + self.succ.len() * size_of::<u32>()
+    }
+
+    /// `id`'s co-enabled list as a range of `edges`, charted the first
+    /// time any search asks for it.
+    fn chart(&mut self, ctx: &SearchCtx<'_>, id: StateId) -> (u32, u32) {
+        let slot = &self.slots[id.index()];
+        if slot.start != UNSET {
+            return (slot.start, slot.end);
+        }
+        ctx.co_enabled_into(self.table.get(id), &mut self.enabled);
+        let start = offset(self.edges.len());
+        self.edges.extend_from_slice(&self.enabled);
+        self.succ.resize(self.edges.len(), UNSET);
+        self.bytes += self.enabled.len() * EDGE_BYTES;
+        let end = offset(self.edges.len());
+        let slot = &mut self.slots[id.index()];
+        (slot.start, slot.end) = (start, end);
+        (start, end)
+    }
+
+    /// The state that charted edge `k`, out of `id`, leads to. The first
+    /// search to take the edge steps the scratch state and interns the
+    /// result; later ones read the successor slot.
+    fn successor(&mut self, ctx: &SearchCtx<'_>, id: StateId, k: u32) -> StateId {
+        let slot = self.succ[k as usize];
+        if slot != UNSET {
+            return StateId::new(slot as usize);
+        }
+        let (p, e) = self.edges[k as usize];
+        self.scratch.clone_from(self.table.get(id));
+        let mut fp = self.table.fingerprint(id);
+        ctx.apply_keyed(&mut self.scratch, p, e, &mut fp);
+        let cid = self.intern_scratch(fp);
+        self.succ[k as usize] = cid.index() as u32;
+        cid
+    }
+
+    /// Interns the scratch state, whose key fingerprint is `fp`, growing
+    /// the per-state memo slots on a fresh insert.
+    fn intern_scratch(&mut self, fp: u64) -> StateId {
+        let (cid, fresh) = self.table.intern_ref_keyed(&self.scratch, fp);
         if fresh {
-            dead.push(false);
-            stamp.push(0);
+            self.slots.push(Slot::FRESH);
+            self.bytes += self.per_state;
         }
         cid
     }
@@ -171,24 +277,18 @@ impl QueryMemo {
     fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
             self.epoch = 0;
-            self.stamp.fill(0);
+            self.slots.iter_mut().for_each(|slot| slot.stamp = 0);
         }
         self.epoch += 1;
         self.epoch
     }
 
-    /// A DFS frame for `id`, its enabled buffer drawn from the pool.
-    fn frame(&mut self, ctx: &SearchCtx<'_>, id: StateId) -> Frame {
-        let mut enabled = self.pool.pop().unwrap_or_default();
-        ctx.co_enabled_into(self.table.get(id), &mut enabled);
-        Frame { id, enabled, k: 0 }
-    }
-
     /// Appends to `out` a complete feasible schedule from `start` onward,
     /// if one exists (returning whether it does; on failure `out` may hold
     /// a partial tail the caller must discard). Every state fully explored
-    /// without success is marked dead — permanently, for all future
-    /// queries. Errors at the first exhausted budget resource.
+    /// without success is marked dead, and every state on the path to a
+    /// completion live — permanently, for all future queries. Errors at
+    /// the first exhausted budget resource.
     fn try_complete_from(
         &mut self,
         ctx: &SearchCtx<'_>,
@@ -198,41 +298,45 @@ impl QueryMemo {
         if ctx.is_complete(self.table.get(start)) {
             return Ok(true);
         }
-        if self.dead[start.index()] {
+        if self.slots[start.index()].reach == Reach::Dead {
             return Ok(false);
         }
-        let mut stack = vec![self.frame(ctx, start)];
+        let mut stack: Vec<Frame> = vec![(start, self.chart(ctx, start).0)];
         loop {
             self.checkpoint()?;
             let Some(top) = stack.last_mut() else { break };
-            if top.k >= top.enabled.len() {
-                let f = stack.pop().expect("non-empty");
-                self.dead[f.id.index()] = true;
-                self.pool.push(f.enabled);
+            let (id, k) = *top;
+            if k == self.slots[id.index()].end {
+                stack.pop();
+                self.slots[id.index()].reach = Reach::Dead;
                 if !stack.is_empty() {
                     out.pop(); // retract the edge that led here
                 }
                 continue;
             }
-            let (p, e) = top.enabled[top.k];
-            top.k += 1;
-            let id = top.id;
-            let cid = self.step_and_intern(ctx, id, p, e);
+            top.1 += 1;
+            let cid = self.successor(ctx, id, k);
+            let e = self.edges[k as usize].1;
             if ctx.is_complete(self.table.get(cid)) {
                 out.push(e);
-                for f in stack.drain(..) {
-                    self.pool.push(f.enabled);
+                // Only this walk's frames are marked: a later walk from
+                // any of them would retrace this one past branches already
+                // marked dead, so skipping it skips no interning. A
+                // witness search's frames can reach completion too, but a
+                // walk from one of them may step branches it never took.
+                for &(id, _) in &stack {
+                    self.slots[id.index()].reach = Reach::Live;
                 }
                 return Ok(true);
             }
-            if self.dead[cid.index()] {
+            if self.slots[cid.index()].reach == Reach::Dead {
                 continue;
             }
             out.push(e);
-            stack.push(self.frame(ctx, cid));
+            stack.push((cid, self.chart(ctx, cid).0));
             // The lattice is a DAG (executed count strictly increases), so
             // a state can never sit on the stack twice; any state reached
-            // again was fully explored already and is covered by `dead`.
+            // again was fully explored already and is covered by `reach`.
         }
         Ok(false)
     }
@@ -271,52 +375,48 @@ impl QueryMemo {
         let mut prefix: Vec<EventId> = Vec::new();
         // The initial state has executed nothing, so it starts in the
         // neither-executed regime the stamp set covers.
-        self.stamp[self.root.index()] = epoch;
+        self.slots[self.root.index()].stamp = epoch;
         let root = self.root;
-        let mut stack = vec![self.frame(ctx, root)];
+        let mut stack: Vec<Frame> = vec![(root, self.chart(ctx, root).0)];
         loop {
             self.checkpoint()?;
             let Some(top) = stack.last_mut() else { break };
-            if top.k >= top.enabled.len() {
-                let f = stack.pop().expect("non-empty");
-                self.pool.push(f.enabled);
+            let (id, k) = *top;
+            if k == self.slots[id.index()].end {
+                stack.pop();
                 if !stack.is_empty() {
                     prefix.pop();
                 }
                 continue;
             }
-            let (p, e) = top.enabled[top.k];
-            top.k += 1;
-            let id = top.id;
-            let cid = self.step_and_intern(ctx, id, p, e);
-            let machine = ctx.machine();
-            let child = self.table.get(cid);
-            let first_done = machine.executed(child, first);
-            let second_done = machine.executed(child, second);
-            if second_done && !first_done {
+            top.1 += 1;
+            let cid = self.successor(ctx, id, k);
+            if self.slots[cid.index()].reach == Reach::Dead {
+                continue; // nothing completes from here, so no witness does
+            }
+            // Every state on the stack has executed neither event, so the
+            // child has executed exactly the one its edge fires, if any.
+            let e = self.edges[k as usize].1;
+            if e == second {
                 continue; // this path already ordered them the wrong way
             }
-            if first_done && !second_done {
+            if e == first {
                 // Any completion now places `first` before `second`.
                 prefix.push(e);
                 let depth = prefix.len();
                 if self.try_complete_from(ctx, cid, &mut prefix)? {
-                    for f in stack.drain(..) {
-                        self.pool.push(f.enabled);
-                    }
                     return Ok(Some(prefix));
                 }
                 prefix.truncate(depth - 1);
                 continue;
             }
-            // Neither executed yet (both-done is unreachable: paths pass
-            // through a one-done state first, handled above).
-            if self.stamp[cid.index()] == epoch {
+            // Neither executed yet.
+            if self.slots[cid.index()].stamp == epoch {
                 continue;
             }
-            self.stamp[cid.index()] = epoch;
+            self.slots[cid.index()].stamp = epoch;
             prefix.push(e);
-            stack.push(self.frame(ctx, cid));
+            stack.push((cid, self.chart(ctx, cid).0));
         }
         Ok(None)
     }
@@ -353,7 +453,7 @@ impl QueryMemo {
         assert_ne!(a, b, "witness_overlap needs two distinct events");
         let epoch = self.next_epoch();
         let mut prefix: Vec<EventId> = Vec::new();
-        self.stamp[self.root.index()] = epoch;
+        self.slots[self.root.index()].stamp = epoch;
         let root = self.root;
         // Checkpoint before the root shortcut so an already-exhausted
         // budget (e.g. an external cancel) stops the query promptly even
@@ -362,39 +462,38 @@ impl QueryMemo {
         if self.try_pair_overlaps_at(ctx, root, a, b)? {
             return Ok(Some(prefix));
         }
-        let mut stack = vec![self.frame(ctx, root)];
+        let mut stack: Vec<Frame> = vec![(root, self.chart(ctx, root).0)];
         loop {
             self.checkpoint()?;
             let Some(top) = stack.last_mut() else { break };
-            if top.k >= top.enabled.len() {
-                let f = stack.pop().expect("non-empty");
-                self.pool.push(f.enabled);
+            let (id, k) = *top;
+            if k == self.slots[id.index()].end {
+                stack.pop();
                 if !stack.is_empty() {
                     prefix.pop();
                 }
                 continue;
             }
-            let (p, e) = top.enabled[top.k];
-            top.k += 1;
-            let id = top.id;
-            let cid = self.step_and_intern(ctx, id, p, e);
-            let machine = ctx.machine();
-            let child = self.table.get(cid);
-            if machine.executed(child, a) || machine.executed(child, b) {
+            top.1 += 1;
+            let cid = self.successor(ctx, id, k);
+            if self.slots[cid.index()].reach == Reach::Dead {
+                continue; // nothing completes from here, so no witness does
+            }
+            // As in the before-search, the stack holds only states that
+            // have executed neither event.
+            let e = self.edges[k as usize].1;
+            if e == a || e == b {
                 continue; // overlap must be witnessed before either runs
             }
-            if self.stamp[cid.index()] == epoch {
+            if self.slots[cid.index()].stamp == epoch {
                 continue;
             }
-            self.stamp[cid.index()] = epoch;
+            self.slots[cid.index()].stamp = epoch;
             prefix.push(e);
             if self.try_pair_overlaps_at(ctx, cid, a, b)? {
-                for f in stack.drain(..) {
-                    self.pool.push(f.enabled);
-                }
                 return Ok(Some(prefix));
             }
-            stack.push(self.frame(ctx, cid));
+            stack.push((cid, self.chart(ctx, cid).0));
         }
         Ok(None)
     }
@@ -408,62 +507,50 @@ impl QueryMemo {
         a: EventId,
         b: EventId,
     ) -> Result<bool, EngineError> {
-        Ok(self.try_both_fire_completably(ctx, id, a, b)?
-            || self.try_both_fire_completably(ctx, id, b, a)?)
+        let (start, end) = self.chart(ctx, id);
+        let enabled = &self.edges[start as usize..end as usize];
+        let process_of = |ev: EventId| enabled.iter().find(|&&(_, e)| e == ev).map(|&(p, _)| p);
+        let (Some(pa), Some(pb)) = (process_of(a), process_of(b)) else {
+            return Ok(false);
+        };
+        Ok(self.try_both_fire_completably(ctx, id, (pa, a), (pb, b))?
+            || self.try_both_fire_completably(ctx, id, (pb, b), (pa, a))?)
     }
 
+    /// Can `x`, then `y`, both co-enabled at `id`, fire back-to-back and
+    /// leave completion reachable?
     fn try_both_fire_completably(
         &mut self,
         ctx: &SearchCtx<'_>,
         id: StateId,
-        x: EventId,
-        y: EventId,
+        (px, x): (ProcessId, EventId),
+        (py, y): (ProcessId, EventId),
     ) -> Result<bool, EngineError> {
-        let mut enabled = self.pool.pop().unwrap_or_default();
-        // Scope the split borrows: step x then y through the scratch
-        // state, interning only the final both-fired state.
-        let landed = {
-            let Self {
-                table,
-                scratch,
-                dead,
-                stamp,
-                ..
-            } = self;
-            ctx.co_enabled_into(table.get(id), &mut enabled);
-            let px = enabled.iter().find(|&&(_, ev)| ev == x).map(|&(p, _)| p);
-            let py = enabled.iter().find(|&&(_, ev)| ev == y).map(|&(p, _)| p);
-            match (px, py) {
-                (Some(px), Some(py)) => {
-                    scratch.clone_from(table.get(id));
-                    let mut fp = table.fingerprint(id);
-                    ctx.step_keyed(scratch, px, &mut fp);
-                    ctx.co_enabled_into(scratch, &mut enabled); // buffer reuse
-                    if enabled.iter().any(|&(p, _)| p == py) {
-                        ctx.step_keyed(scratch, py, &mut fp);
-                        let (cid, fresh) = table.intern_ref_keyed(scratch, fp);
-                        if fresh {
-                            dead.push(false);
-                            stamp.push(0);
-                        }
-                        Some(cid)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            }
-        };
-        self.pool.push(enabled);
-        match landed {
-            Some(cid) => {
+        // Step x then y through the scratch state, interning only the
+        // state both land in. `py` differs from `px` (a process has one
+        // next event), so its next event is still `y` after x fires.
+        self.scratch.clone_from(self.table.get(id));
+        let mut fp = self.table.fingerprint(id);
+        ctx.apply_keyed(&mut self.scratch, px, x, &mut fp);
+        if ctx.machine().enabled(&self.scratch, py).is_err()
+            || !ctx.deps_satisfied(&self.scratch, y)
+        {
+            return Ok(false);
+        }
+        ctx.apply_keyed(&mut self.scratch, py, y, &mut fp);
+        let landed = self.intern_scratch(fp);
+        match self.slots[landed.index()].reach {
+            Reach::Dead => Ok(false),
+            // Decided already: skip the walk, but keep the checkpoint it
+            // would have opened with, so state caps trip where they did.
+            Reach::Live => self.checkpoint().map(|()| true),
+            Reach::Unknown => {
                 let mut tail = std::mem::take(&mut self.tail);
                 tail.clear();
-                let ok = self.try_complete_from(ctx, cid, &mut tail);
+                let ok = self.try_complete_from(ctx, landed, &mut tail);
                 self.tail = tail;
                 ok
             }
-            None => Ok(false),
         }
     }
 
@@ -834,6 +921,57 @@ mod tests {
             memo.try_must_happen_before(&ctx2, ids.post_left, ids.post_right)
                 .unwrap(),
             must_happen_before(&ctx, ids.post_left, ids.post_right)
+        );
+    }
+
+    #[test]
+    fn storage_estimate_covers_the_table_and_the_chart() {
+        let (trace, _ids) = fixtures::figure1();
+        let exec = trace.to_execution().unwrap();
+        let ctx = ctx_of(&exec);
+        let mut memo = QueryMemo::new(&ctx);
+        assert!(memo.bytes >= memo.heap_bytes());
+        let n = exec.n_events();
+        for a in 0..n {
+            for b in 0..n {
+                if a != b {
+                    let (ea, eb) = (EventId::new(a), EventId::new(b));
+                    memo.try_witness_before(&ctx, ea, eb).unwrap();
+                    memo.try_witness_overlap(&ctx, ea, eb).unwrap();
+                    assert!(memo.bytes >= memo.heap_bytes(), "({a},{b})");
+                }
+            }
+        }
+        assert!(!memo.edges.is_empty(), "the batch charted edges");
+        assert!(memo.bytes > memo.table.approx_bytes() + memo.edges.len() * 8);
+    }
+
+    #[test]
+    fn aborted_walks_mark_nothing_live() {
+        // A walk the budget stops proves nothing about the states on its
+        // stack: none may come out marked live.
+        let (trace, _ids) = fixtures::figure1();
+        let exec = trace.to_execution().unwrap();
+        let ctx = ctx_of(&exec);
+        for cap in 1..exec.n_events() {
+            let budget = Budget::unlimited().with_max_states(cap);
+            let mut memo = QueryMemo::with_budget(&ctx, budget);
+            let root = memo.root;
+            assert!(memo.try_complete_from(&ctx, root, &mut Vec::new()).is_err());
+            assert!(
+                memo.slots.iter().all(|s| s.reach != Reach::Live),
+                "cap {cap}"
+            );
+        }
+        let mut memo = QueryMemo::new(&ctx);
+        let root = memo.root;
+        let mut path = Vec::new();
+        assert!(memo.try_complete_from(&ctx, root, &mut path).unwrap());
+        let live = memo.slots.iter().filter(|s| s.reach == Reach::Live).count();
+        assert_eq!(
+            live,
+            path.len(),
+            "every state on the path but the complete one"
         );
     }
 

@@ -187,6 +187,18 @@ impl StateTable {
         }
     }
 
+    /// Bytes one interned state like `st` costs the table at most: the
+    /// state and its heap vectors, its fingerprint and chain slots, and a
+    /// bucket entry. Callers keeping a running storage estimate charge
+    /// this per fresh insert, so the estimate never falls below
+    /// [`StateTable::approx_bytes`].
+    pub(crate) fn bytes_per_state(st: &MachState) -> usize {
+        std::mem::size_of_val(st)
+            + st.heap_bytes()
+            + 2 * std::mem::size_of::<u64>()
+            + 2 * std::mem::size_of::<u32>()
+    }
+
     /// Approximate heap bytes held by the arena and its buckets — the
     /// memory-accounting hook the perf report uses.
     pub fn approx_bytes(&self) -> usize {

@@ -66,9 +66,9 @@ pub fn conflicting_pairs(exec: &ProgramExecution) -> Vec<Race> {
 /// Worst-case exponential — that is the theorem.
 pub fn exact_races(exec: &ProgramExecution) -> Vec<Race> {
     let ctx = SearchCtx::new(exec, FeasibilityMode::IgnoreDependences);
-    // One session across every candidate pair: the interned state arena
-    // and the dead-state memo carry over from query to query, so later
-    // pairs probe a lattice the earlier pairs already charted.
+    // One session across every candidate pair: the interned state arena,
+    // the lattice chart and the completability memo carry over from query
+    // to query, so later pairs walk a lattice the earlier pairs charted.
     let mut session = QuerySession::new(&ctx);
     conflicting_pairs(exec)
         .into_iter()
@@ -801,7 +801,7 @@ mod tests {
                 expected
             );
             // A second pass over the warm memo must answer identically —
-            // the dead-set memo never changes answers, only their cost.
+            // the memo never changes answers, only their cost.
             assert_eq!(
                 try_exact_races_with_memo(&ctx, &mut memo).unwrap(),
                 expected

@@ -2,10 +2,11 @@
 //! queries.
 //!
 //! A session owns the engine-side [`QueryMemo`] (interned state arena,
-//! dead-state memo, epoch-stamped visit sets) plus the serving-side
-//! caches from [`crate::cache`]. Every answer it produces is exact and
-//! bit-identical to a fresh one-shot [`eo_engine::ExactEngine`] run of the
-//! same query under the same [`EngineOptions`] — the differential test
+//! lattice chart, completability memo, epoch-stamped visit sets) plus the
+//! serving-side caches from [`crate::cache`]. Every answer it produces is
+//! exact and bit-identical to a fresh one-shot
+//! [`eo_engine::ExactEngine`] run of the same query under the same
+//! [`EngineOptions`] — the differential test
 //! `tests/batch_differential.rs` pins this. What the session changes is
 //! *cost*: repeated, symmetric, complementary, or transitively implied
 //! queries are answered from caches without touching the state space, and
