@@ -697,7 +697,7 @@ fn main() {
     }
 
     if want("ablation") {
-        println!("== Ablation: sleep-set pruning, and parallel cut-lattice exploration ==");
+        println!("== Ablation: sleep-set pruning ==");
         let gallery = vec![
             ("diamond", fixtures::fork_join_diamond().0),
             ("crossing", fixtures::crossing().0),
@@ -734,24 +734,6 @@ fn main() {
                 ms(p.naive_time),
             ]);
         }
-        // Parallel exploration needs real frontiers: generated workloads.
-        let mut qrows = Vec::new();
-        for procs in [7usize, 8, 9] {
-            let mut spec = eo_lang::generator::WorkloadSpec::small_semaphore(7);
-            spec.processes = procs;
-            spec.events_per_process = 5;
-            spec.semaphores = (procs / 2).max(1);
-            let exec = eo_lang::generator::generate_trace(&spec, 100)
-                .to_execution()
-                .unwrap();
-            let q = ablation_parallel(&format!("workload-{procs}x5"), &exec);
-            qrows.push(vec![
-                q.label.clone(),
-                q.states.to_string(),
-                ms(q.seq_time),
-                ms(q.par_time),
-            ]);
-        }
         println!(
             "{}",
             render(
@@ -765,10 +747,6 @@ fn main() {
                 ],
                 &prows
             )
-        );
-        println!(
-            "{}",
-            render(&["input", "states", "seq_ms", "par_ms"], &qrows)
         );
     }
 

@@ -697,36 +697,6 @@ pub fn ablation_pruning(label: &str, exec: &ProgramExecution) -> PruningRow {
     }
 }
 
-/// Ablation: sequential vs. parallel cut-lattice exploration.
-#[derive(Clone, Debug)]
-pub struct ParallelRow {
-    /// Workload label.
-    pub label: String,
-    /// States explored (identical, asserted).
-    pub states: usize,
-    /// Sequential time.
-    pub seq_time: Duration,
-    /// Parallel time (auto thread count).
-    pub par_time: Duration,
-}
-
-/// Runs the parallel-exploration ablation on one execution.
-pub fn ablation_parallel(label: &str, exec: &ProgramExecution) -> ParallelRow {
-    let ctx = SearchCtx::new(exec, FeasibilityMode::PreserveDependences);
-    let (seq, seq_time) = timed(|| explore_statespace(&ctx, 1 << 24).expect("budget"));
-    let (par, par_time) = timed(|| {
-        eo_engine::parallel::explore_statespace_parallel(&ctx, 1 << 24, 0).expect("budget")
-    });
-    assert_eq!(seq.chb, par.chb);
-    assert_eq!(seq.states, par.states);
-    ParallelRow {
-        label: label.to_string(),
-        states: seq.states,
-        seq_time,
-        par_time,
-    }
-}
-
 // ---------------------------------------------------------------- E12 --
 
 /// E12 — the engine hot-path overhaul, measured: the interned explorer
@@ -1031,7 +1001,7 @@ pub fn e17_rows() -> Vec<EquivRow> {
                         "{label}: {strategy} and {first} disagree on F(P)"
                     ),
                 }
-                if strategy.equivalence().canonical().is_some() {
+                if strategy.canonical().is_some() {
                     assert_eq!(
                         row.schedules, row.orders,
                         "{label}: {strategy} fell short of perfect pruning"
@@ -2387,8 +2357,6 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let p = ablation_pruning("diamond", &exec);
         assert!(p.pruned_schedules <= p.naive_schedules);
-        let q = ablation_parallel("diamond", &exec);
-        assert!(q.states > 0);
     }
 
     /// A fake measured row matching the synthetic baselines below.

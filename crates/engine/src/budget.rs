@@ -2,9 +2,9 @@
 //!
 //! Theorems 1–4 say the exact analyses are NP-/co-NP-hard, so a production
 //! engine must *expect* blow-ups. [`Budget`] is the one object threaded
-//! through every exponential loop in this crate — the sequential explorer,
-//! the parallel worker pool, class enumeration, witness queries, and the
-//! SAT backend — so that any analysis can be stopped mid-flight:
+//! through every exponential loop in this crate — the cut-lattice
+//! explorer, class enumeration, witness queries, and the SAT backend — so
+//! that any analysis can be stopped mid-flight:
 //!
 //! * a **wall-clock deadline** ([`Budget::with_deadline`]);
 //! * **state / schedule caps** (the same counts [`Limits`](crate::Limits)
@@ -14,11 +14,11 @@
 //! * a **cooperative cancel flag** ([`Budget::cancel_handle`]) another
 //!   thread can raise at any time.
 //!
-//! Checks happen at BFS-level / DFS-step granularity via
+//! Checks happen at node-expansion / DFS-step granularity via
 //! [`Budget::check`], which returns the [`EngineError`] describing the
 //! first exhausted resource. Cloning a `Budget` shares the cancel flag and
-//! checkpoint counters (they are `Arc`ed), so the coordinator and its pool
-//! workers observe one budget, not per-thread copies.
+//! the checkpoint counter (they are `Arc`ed), so every holder of a clone
+//! observes one budget, not a private copy.
 //!
 //! Under the `fault-injection` feature a `FaultPlan` can be attached to
 //! make the N-th checkpoint fail deterministically — see
@@ -46,13 +46,10 @@ pub struct Budget {
     max_schedules: Option<usize>,
     max_heap_bytes: Option<usize>,
     cancel: Arc<AtomicBool>,
-    /// Coordinator checkpoint counter (shared across clones so fault
-    /// injection sees one global checkpoint sequence).
+    /// Checkpoint counter (shared across clones so fault injection sees
+    /// one global checkpoint sequence).
     #[cfg(feature = "fault-injection")]
     ticks: Arc<AtomicU64>,
-    /// Worker checkpoint counter ([`Budget::check_worker`]).
-    #[cfg(feature = "fault-injection")]
-    worker_ticks: Arc<AtomicU64>,
     #[cfg(feature = "fault-injection")]
     fault: Option<FaultPlan>,
 }
@@ -76,8 +73,6 @@ impl Budget {
             cancel: Arc::new(AtomicBool::new(false)),
             #[cfg(feature = "fault-injection")]
             ticks: Arc::new(AtomicU64::new(0)),
-            #[cfg(feature = "fault-injection")]
-            worker_ticks: Arc::new(AtomicU64::new(0)),
             #[cfg(feature = "fault-injection")]
             fault: None,
         }
@@ -150,8 +145,6 @@ impl Budget {
             #[cfg(feature = "fault-injection")]
             ticks: Arc::new(AtomicU64::new(0)),
             #[cfg(feature = "fault-injection")]
-            worker_ticks: Arc::new(AtomicU64::new(0)),
-            #[cfg(feature = "fault-injection")]
             fault: self.fault,
         }
     }
@@ -181,11 +174,11 @@ impl Budget {
         }
     }
 
-    /// One coordinator checkpoint: errors with the first exhausted
-    /// resource. `heap_bytes` is the caller's running estimate of its
-    /// analysis storage (pass 0 when storage is not the concern).
+    /// One checkpoint: errors with the first exhausted resource.
+    /// `heap_bytes` is the caller's running estimate of its analysis
+    /// storage (pass 0 when storage is not the concern).
     ///
-    /// Called at BFS-level / DFS-step granularity by every exponential
+    /// Called at node-expansion / DFS-step granularity by every exponential
     /// loop; when the budget is unconstrained this is one relaxed atomic
     /// load.
     #[inline]
@@ -207,7 +200,7 @@ impl Budget {
                 // Mimic an external cancel exactly: raise the shared flag,
                 // then fall through to the normal cancel path.
                 Some(Fault::Cancel) => self.cancel.store(true, Ordering::Relaxed),
-                Some(Fault::WorkerPanic) | None => {}
+                None => {}
             }
         }
         if self.cancel.load(Ordering::Relaxed) {
@@ -245,22 +238,6 @@ impl Budget {
     pub fn max_heap_bytes(&self) -> Option<usize> {
         self.max_heap_bytes
     }
-
-    /// One pool-worker checkpoint. This is the only place a
-    /// `Fault::WorkerPanic` plan trips — as a real `panic!`, so the
-    /// worker pool's `catch_unwind` recovery is what gets exercised.
-    /// A no-op without the `fault-injection` feature (workers report
-    /// resource exhaustion through the coordinator's [`Budget::check`]).
-    #[inline]
-    pub fn check_worker(&self) {
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.fault {
-            let t = self.worker_ticks.fetch_add(1, Ordering::Relaxed) + 1;
-            if plan.fires_at(t) == Some(Fault::WorkerPanic) {
-                panic!("fault injection: worker panic at checkpoint {t}");
-            }
-        }
-    }
 }
 
 /// Cooperative cancellation handle for a [`Budget`] (cheap to clone; all
@@ -291,7 +268,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(b.check(usize::MAX / 2), Ok(()));
         }
-        b.check_worker(); // no-op without a fault plan
     }
 
     #[test]

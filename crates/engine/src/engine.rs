@@ -66,10 +66,6 @@ pub enum EngineError {
     /// The analysis was cancelled through a
     /// [`CancelHandle`](crate::CancelHandle).
     Cancelled,
-    /// A pool worker thread panicked; the parallel exploration was
-    /// abandoned (after every thread was joined — see
-    /// [`crate::parallel`]).
-    WorkerFailed,
 }
 
 impl std::fmt::Display for EngineError {
@@ -91,12 +87,6 @@ impl std::fmt::Display for EngineError {
                 write!(f, "analysis storage exceeded the {limit}-byte budget")
             }
             EngineError::Cancelled => write!(f, "analysis cancelled"),
-            EngineError::WorkerFailed => {
-                write!(
-                    f,
-                    "a worker thread panicked; the parallel pass was abandoned"
-                )
-            }
         }
     }
 }
@@ -112,7 +102,6 @@ impl EngineError {
             EngineError::DeadlineExceeded { .. } => "deadline",
             EngineError::MemoryExceeded { .. } => "memory",
             EngineError::Cancelled => "cancelled",
-            EngineError::WorkerFailed => "worker-failed",
         }
     }
 }
@@ -248,29 +237,12 @@ impl<'a> ExactEngine<'a> {
     /// Degraded answers never contradict the exact oracle; the
     /// differential suite asserts this on every fixture.
     pub fn analyze(&self) -> AnalysisOutcome {
-        self.analyze_with_threads(1)
-    }
-
-    /// [`analyze`](Self::analyze) with the cut-lattice pass fanned out to
-    /// `threads` pool workers (`0` = available parallelism, `1` =
-    /// sequential). A worker panic degrades (reason
-    /// [`EngineError::WorkerFailed`]) instead of aborting; the pool is
-    /// always drained and joined.
-    pub fn analyze_with_threads(&self, threads: usize) -> AnalysisOutcome {
         eo_obs::span!("engine.analyze");
         let budget = self.effective_budget();
-        let (mut graph, stopped) = if threads == 1 {
-            let b = statespace::build_graph_budgeted(&self.ctx, &budget);
-            (b.graph, b.stopped)
-        } else {
-            crate::parallel::explore_parallel_partial(&self.ctx, &budget, threads)
-        };
+        let statespace::PartialExploration { mut graph, stopped } =
+            statespace::build_graph_budgeted(&self.ctx, &budget);
         let space_complete = stopped.is_none();
-        let space = if space_complete {
-            statespace::finalize(&self.ctx, &mut graph)
-        } else {
-            statespace::finalize_partial(&self.ctx, &mut graph)
-        };
+        let space = statespace::finalize(&self.ctx, &mut graph, space_complete);
         // Enumeration still runs after a truncated space pass: its orders
         // are complete feasible executions in their own right, and every
         // one sharpens the degraded facts. The budget is already

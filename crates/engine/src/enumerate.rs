@@ -3,7 +3,7 @@
 //! Every complete feasible schedule induces a partial order →T′; the set
 //! of *distinct* induced orders is the paper's F(P). The search that
 //! discovers them quotients schedules by a pluggable trace equivalence
-//! ([`crate::equiv::Equivalence`]):
+//! ([`EquivStrategy`]):
 //!
 //! * [`EquivStrategy::Mazurkiewicz`] — depth-first search over schedules
 //!   pruned with **sleep sets** (Godefroid): after exploring event `e`
@@ -390,13 +390,12 @@ fn run(
 ) -> (EnumerationResult, Option<EngineError>) {
     let n = ctx.n_events();
     eo_obs::span!("engine.enumerate");
-    let equiv = config.strategy.equivalence();
     let canon = if config.prune {
-        equiv.canonical()
+        config.strategy.canonical()
     } else {
         None
     };
-    let use_sleep = config.prune && equiv.sleep_sets();
+    let use_sleep = config.prune && canon.is_none();
     let trace = ctx.exec().trace();
 
     // Schedule-independent work, once per enumeration.

@@ -3,8 +3,8 @@
 //! The paper's hardness results live in enumerating the feasible-execution
 //! set F(P); how fast that is in practice is entirely a question of *which
 //! schedules the search can afford not to visit*. This module makes the
-//! equivalence the enumerator quotients by a pluggable [`Equivalence`]
-//! strategy, with three implementations:
+//! equivalence the enumerator quotients by a pluggable [`EquivStrategy`],
+//! with three variants:
 //!
 //! * [`EquivStrategy::Mazurkiewicz`] — the baseline: depth-first search
 //!   with Godefroid sleep sets over the static independence relation.
@@ -51,7 +51,6 @@
 //! bit-identical order sets on every fixture, both E9 families, and seeded
 //! generated programs, in both feasibility modes.
 
-use crate::ctx::SearchCtx;
 use eo_model::{EventId, MachState, Op, Trace};
 use eo_relations::Relation;
 use std::collections::VecDeque;
@@ -60,7 +59,7 @@ use std::str::FromStr;
 
 /// Which trace equivalence the enumerator quotients schedules by. The
 /// engine-facing knob ([`crate::EngineOptions::equiv`], `--equiv` on the
-/// CLI); each variant maps to one [`Equivalence`] implementation.
+/// CLI); [`EquivStrategy::canonical`] is what the search reads of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EquivStrategy {
     /// Sleep-set DFS over static independence (one schedule per
@@ -93,12 +92,17 @@ impl EquivStrategy {
         }
     }
 
-    /// The strategy object driving the search.
-    pub fn equivalence(self) -> &'static dyn Equivalence {
+    /// The canonical-form check: `Some(mode)` switches the enumerator to
+    /// the memoized quotient-graph search with prefixes canonicalized per
+    /// `mode`; `None` keeps the plain schedule DFS pruned by sleep sets.
+    /// Sleep sets and canonical memoization never combine — history-
+    /// dependent pruning under prefix memoization is unsound (see the
+    /// module docs).
+    pub fn canonical(self) -> Option<CanonMode> {
         match self {
-            EquivStrategy::Mazurkiewicz => &MazurkiewiczEquiv,
-            EquivStrategy::NormalForm => &NormalFormEquiv,
-            EquivStrategy::Grain => &GrainEquiv,
+            EquivStrategy::Mazurkiewicz => None,
+            EquivStrategy::NormalForm => Some(CanonMode::PairingHistory),
+            EquivStrategy::Grain => Some(CanonMode::ClosedRelation),
         }
     }
 }
@@ -134,72 +138,6 @@ pub enum CanonMode {
     /// pairing edges, closed). Coarser: prefixes whose distinct raw edges
     /// close to the same relation merge.
     ClosedRelation,
-}
-
-/// One trace-equivalence strategy: the independence predicate the search
-/// may commute by, and the canonical-form check (if any) that decides
-/// whether a prefix is the representative worth extending.
-pub trait Equivalence: Sync {
-    /// Stable name (matches [`EquivStrategy::label`]).
-    fn name(&self) -> &'static str;
-
-    /// May the search treat `a` and `b` as commuting? Sound default: the
-    /// negation of [`SearchCtx::statically_dependent`].
-    fn independent(&self, ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
-        !ctx.statically_dependent(a, b)
-    }
-
-    /// Whether the DFS prunes commutations with sleep sets. Mutually
-    /// exclusive with [`Equivalence::canonical`] — combining
-    /// history-dependent pruning with prefix memoization is unsound (see
-    /// the module docs).
-    fn sleep_sets(&self) -> bool {
-        self.canonical().is_none()
-    }
-
-    /// The canonical-form check: `Some(mode)` switches the enumerator to
-    /// the memoized quotient-graph search with prefixes canonicalized per
-    /// `mode`; `None` keeps the plain schedule DFS.
-    fn canonical(&self) -> Option<CanonMode>;
-}
-
-/// Baseline sleep-set Mazurkiewicz search.
-pub struct MazurkiewiczEquiv;
-
-impl Equivalence for MazurkiewiczEquiv {
-    fn name(&self) -> &'static str {
-        EquivStrategy::Mazurkiewicz.label()
-    }
-
-    fn canonical(&self) -> Option<CanonMode> {
-        None
-    }
-}
-
-/// Canonical representative generation over pairing histories.
-pub struct NormalFormEquiv;
-
-impl Equivalence for NormalFormEquiv {
-    fn name(&self) -> &'static str {
-        EquivStrategy::NormalForm.label()
-    }
-
-    fn canonical(&self) -> Option<CanonMode> {
-        Some(CanonMode::PairingHistory)
-    }
-}
-
-/// Closed-relation grain coarsening.
-pub struct GrainEquiv;
-
-impl Equivalence for GrainEquiv {
-    fn name(&self) -> &'static str {
-        EquivStrategy::Grain.label()
-    }
-
-    fn canonical(&self) -> Option<CanonMode> {
-        Some(CanonMode::ClosedRelation)
-    }
 }
 
 // ------------------------------------------------------------------------
@@ -619,7 +557,7 @@ fn mix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::FeasibilityMode;
+    use crate::ctx::{FeasibilityMode, SearchCtx};
     use eo_model::fixtures;
     use eo_model::induce;
 
@@ -692,7 +630,6 @@ mod tests {
     fn strategy_labels_round_trip() {
         for s in EquivStrategy::ALL {
             assert_eq!(s.label().parse::<EquivStrategy>().unwrap(), s);
-            assert_eq!(s.equivalence().name(), s.label());
         }
         assert!("bogus".parse::<EquivStrategy>().is_err());
         assert_eq!(
@@ -703,17 +640,5 @@ mod tests {
             "nf".parse::<EquivStrategy>().unwrap(),
             EquivStrategy::NormalForm
         );
-    }
-
-    #[test]
-    fn sleep_sets_and_canonical_are_exclusive() {
-        for s in EquivStrategy::ALL {
-            let e = s.equivalence();
-            assert!(
-                e.sleep_sets() != e.canonical().is_some(),
-                "{}: sleep sets and canonical memoization must never combine",
-                e.name()
-            );
-        }
     }
 }

@@ -6,13 +6,9 @@
 //! a reproducible point — so every degradation path can be exercised
 //! deterministically instead of by racing real clocks or real allocators.
 //!
-//! Coordinator-side faults ([`Fault::Deadline`], [`Fault::Memory`],
-//! [`Fault::Cancel`]) trip inside [`Budget::check`](crate::Budget::check)
-//! and surface as the matching [`EngineError`](crate::EngineError).
-//! [`Fault::WorkerPanic`] trips only inside
-//! [`Budget::check_worker`](crate::Budget::check_worker) — the checkpoint
-//! called exclusively from pool worker threads — as a genuine `panic!`,
-//! exercising the `catch_unwind` recovery rather than the error plumbing.
+//! Every fault ([`Fault::Deadline`], [`Fault::Memory`], [`Fault::Cancel`])
+//! trips inside [`Budget::check`](crate::Budget::check) and surfaces as
+//! the matching [`EngineError`](crate::EngineError).
 //!
 //! Checkpoints count from 1; a plan trips at every checkpoint with index
 //! `>= at`, so a fault once reached stays reached (the budget is
@@ -27,8 +23,6 @@ pub enum Fault {
     Memory,
     /// Behave as if the cancel flag had been raised externally.
     Cancel,
-    /// Panic inside a pool worker (only trips at worker checkpoints).
-    WorkerPanic,
 }
 
 /// A deterministic fault: trip `fault` at the `at`-th checkpoint (1-based)

@@ -63,7 +63,6 @@ pub mod enumerate;
 pub mod equiv;
 #[cfg(feature = "fault-injection")]
 pub mod faultpoint;
-pub mod parallel;
 pub mod pool;
 pub mod queries;
 pub mod sat_backend;
@@ -80,10 +79,9 @@ pub use engine::{AnalysisOutcome, EngineError, ExactEngine, Limits};
 pub use enumerate::{
     enumerate_classes, enumerate_classes_with, enumerate_naive, EnumerationResult,
 };
-pub use equiv::{EquivStrategy, Equivalence};
+pub use equiv::EquivStrategy;
 #[cfg(feature = "fault-injection")]
 pub use faultpoint::{Fault, FaultPlan};
-pub use parallel::{explore_statespace_parallel, explore_statespace_parallel_budgeted};
 pub use pool::run_tasks;
 pub use queries::{QueryMemo, QuerySession};
 pub use sat_backend::{

@@ -1,35 +1,35 @@
-//! The worker-pool primitives shared by every fan-out in the workspace.
+//! The worker pool behind every batch fan-out in the workspace (the
+//! serving layer shards a request batch across it).
 //!
-//! The crate-private `Queue` is the minimal MPMC queue (`Mutex<VecDeque>` + `Condvar`)
-//! that feeds the parallel cut-lattice explorer's persistent workers
-//! ([`crate::parallel`]); it lives here so other batch dispatchers — the
-//! serving layer fanning a request batch across workers — reuse the same
-//! tested primitive instead of growing a second one.
+//! [`run_tasks`] is the generic batch shape: N independent work items, K
+//! workers, one result slot per item. Failure isolation composes from
+//! three pieces:
 //!
-//! [`run_tasks`] is the generic batch shape on top of it: N independent
-//! work items, K workers, one result slot per item, panic isolation per
-//! task (a panicked item yields `None`, never a hung pool — the same
-//! contract the explorer's pool keeps, documented in
-//! [`crate::parallel`]'s failure-isolation notes).
+//! * every queue lock recovers from poisoning, so a panic elsewhere never
+//!   cascades into the queue;
+//! * each task runs under `catch_unwind` inside the worker's pop loop: a
+//!   panicked item yields `None` and the worker keeps draining, so the
+//!   collector always receives one result per item and never hangs;
+//! * every worker handle is joined before `run_tasks` returns, so the
+//!   workers' `eo-obs` records have reached the recording sink.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A minimal MPMC queue (`Mutex<VecDeque>` + `Condvar`): the workspace
-/// builds offline, so the crossbeam channels this module once used are
-/// replaced by the std primitives they wrap.
-pub(crate) struct Queue<T> {
+/// A minimal MPMC queue (`Mutex<VecDeque>` + `Condvar`), built on std
+/// because the workspace builds offline.
+struct Queue<T> {
     state: Mutex<(VecDeque<T>, bool)>,
     ready: Condvar,
     /// Deepest backlog observed (only maintained while a recording run is
     /// active; surfaced as `pool.max_queue_depth`).
-    pub(crate) max_depth: AtomicUsize,
+    max_depth: AtomicUsize,
 }
 
 impl<T> Queue<T> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Queue {
             state: Mutex::new((VecDeque::new(), false)),
             ready: Condvar::new(),
@@ -46,7 +46,7 @@ impl<T> Queue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    pub(crate) fn push(&self, item: T) {
+    fn push(&self, item: T) {
         let mut guard = self.lock();
         guard.0.push_back(item);
         if eo_obs::recording() {
@@ -56,7 +56,7 @@ impl<T> Queue<T> {
     }
 
     /// Blocks for the next item; `None` once closed and drained.
-    pub(crate) fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<T> {
         let mut guard = self.lock();
         loop {
             if let Some(item) = guard.0.pop_front() {
@@ -76,7 +76,7 @@ impl<T> Queue<T> {
     }
 
     /// Wakes all blocked consumers; subsequent `pop`s drain then end.
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         let mut guard = self.lock();
         guard.1 = true;
         self.ready.notify_all();
@@ -110,34 +110,50 @@ where
     let n = items.len();
     let tasks: Queue<(usize, T)> = Queue::new();
     let results: Queue<(usize, Option<R>)> = Queue::new();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| {
-                let mut tasks_done: u64 = 0;
-                while let Some((slot, item)) = tasks.pop() {
-                    tasks_done += 1;
-                    // Isolate each task: a panic yields an empty slot and
-                    // the worker lives on to drain the queue — the
-                    // collector below is always owed exactly one result
-                    // per item.
-                    let out = catch_unwind(AssertUnwindSafe(|| work(item))).ok();
-                    results.push((slot, out));
-                }
-                eo_obs::counter!("pool.tasks", tasks_done);
-            });
-        }
+    let out = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut tasks_done: u64 = 0;
+                    while let Some((slot, item)) = tasks.pop() {
+                        tasks_done += 1;
+                        // Isolate each task: a panic yields an empty slot
+                        // and the worker lives on to drain the queue — the
+                        // collector below is always owed exactly one
+                        // result per item.
+                        let out = catch_unwind(AssertUnwindSafe(|| work(item))).ok();
+                        results.push((slot, out));
+                    }
+                    eo_obs::counter!("pool.tasks", tasks_done);
+                })
+            })
+            .collect();
         for pair in items.into_iter().enumerate() {
             tasks.push(pair);
         }
-        tasks.close(); // hang up so workers exit; the scope joins them
+        tasks.close(); // hang up so workers exit once the queue drains
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             if let Some((slot, r)) = results.pop() {
                 out[slot] = r;
             }
         }
+        // Join explicitly: the scope's implicit wait ends when each worker
+        // closure returns, before the thread's `eo-obs` buffer is flushed
+        // by its destructor. A joined handle has run the destructor, so
+        // the worker's records reach the sink before this returns.
+        for worker in workers {
+            worker.join().expect("pool workers catch every task panic");
+        }
         out
-    })
+    });
+    if eo_obs::recording() {
+        eo_obs::gauge!(
+            "pool.max_queue_depth",
+            tasks.max_depth.load(Ordering::Relaxed) as i64
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -74,19 +74,19 @@ pub struct StateSpaceResult {
 
 /// Per-state graph record. `succs[k]` is the state reached by firing
 /// `enabled[k]` — the alignment every successor-table walk relies on.
-pub(crate) struct Node {
-    pub(crate) enabled: Vec<(ProcessId, EventId)>,
-    pub(crate) succs: Vec<u32>,
-    pub(crate) completable: bool,
+struct Node {
+    enabled: Vec<(ProcessId, EventId)>,
+    succs: Vec<u32>,
+    completable: bool,
 }
 
 /// The fully-built cut-lattice graph: interned states, per-state nodes
 /// (indexed identically to the arena), and the executed-set matrix with
-/// one row per state. Shared by the sequential and parallel explorers.
+/// one row per state.
 pub(crate) struct StateGraph {
-    pub(crate) table: StateTable,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) executed: BitMatrix,
+    table: StateTable,
+    nodes: Vec<Node>,
+    executed: BitMatrix,
 }
 
 impl StateGraph {
@@ -94,7 +94,7 @@ impl StateGraph {
     /// graph: states interned, fingerprint collisions, arena bytes, and
     /// lattice depth. The O(states) depth scan only runs while a recording
     /// is active, so uninstrumented runs never pay for it.
-    pub(crate) fn emit_metrics(&self) {
+    fn emit_metrics(&self) {
         if !eo_obs::recording() {
             return;
         }
@@ -109,7 +109,7 @@ impl StateGraph {
     }
 
     /// A graph seeded with the initial state of `ctx`.
-    pub(crate) fn seeded(ctx: &SearchCtx<'_>) -> Self {
+    fn seeded(ctx: &SearchCtx<'_>) -> Self {
         let init = ctx.initial_state();
         let mut table = StateTable::new();
         let enabled = ctx.co_enabled(&init);
@@ -130,7 +130,7 @@ impl StateGraph {
 
     /// Approximate heap bytes of the state storage (arena, executed rows,
     /// enabled/successor tables).
-    pub(crate) fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         let node_payload: usize = self
             .nodes
             .iter()
@@ -154,7 +154,7 @@ pub fn explore_statespace(
     max_states: usize,
 ) -> Result<StateSpaceResult, EngineError> {
     let mut graph = build_graph(ctx, max_states)?;
-    Ok(finalize(ctx, &mut graph))
+    Ok(finalize(ctx, &mut graph, true))
 }
 
 /// Budgeted variant of [`explore_statespace`]: every [`Budget`] resource
@@ -170,7 +170,7 @@ pub fn explore_statespace_budgeted(
         Some(e) => Err(e),
         None => {
             let mut graph = b.graph;
-            Ok(finalize(ctx, &mut graph))
+            Ok(finalize(ctx, &mut graph, true))
         }
     }
 }
@@ -181,7 +181,7 @@ pub fn explore_statespace_budgeted(
 /// The truncated graph is *consistent*: every node's `enabled` list is
 /// filled when the node is pushed, and `succs` is either complete or a
 /// prefix of `enabled`'s alignment (frontier nodes have no successors
-/// recorded yet). [`finalize_partial`] turns it into sound
+/// recorded yet). [`finalize`] turns it into sound
 /// under-approximations.
 pub(crate) struct PartialExploration {
     pub(crate) graph: StateGraph,
@@ -289,24 +289,10 @@ pub(crate) fn build_graph(
 }
 
 /// Completability back-propagation plus pairwise-fact accumulation over an
-/// already-built state graph. Shared by the sequential and parallel
-/// explorers (the parallel one runs [`accumulate_range`] on chunks).
-pub(crate) fn finalize(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> StateSpaceResult {
-    eo_obs::span!("engine.finalize");
-    let deadlock_reachable = propagate_completability(ctx, graph, true);
-    let (chb, overlap, completable_states) = accumulate_range(ctx, graph, 0, graph.nodes.len());
-    StateSpaceResult {
-        chb,
-        overlap,
-        states: graph.nodes.len(),
-        completable_states,
-        deadlock_reachable,
-        approx_heap_bytes: graph.approx_bytes(),
-    }
-}
-
-/// [`finalize`] over a budget-truncated graph. The result is a **sound
-/// under-approximation** of the full answer:
+/// already-built state graph. `complete_graph` says whether every
+/// reachable state was expanded. A budget-truncated graph
+/// (`complete_graph = false`) yields a **sound under-approximation** of
+/// the full answer:
 ///
 /// * a node is marked completable only when an explored complete state is
 ///   reachable through *recorded* edges, so every `chb`/`overlap` bit set
@@ -318,10 +304,14 @@ pub(crate) fn finalize(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> StateSpac
 /// * `deadlock_reachable = true` is still definite — `enabled` lists are
 ///   computed when nodes are pushed, so an incomplete empty-enabled node
 ///   is a real deadlock — but `false` now means "not proved".
-pub(crate) fn finalize_partial(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> StateSpaceResult {
+pub(crate) fn finalize(
+    ctx: &SearchCtx<'_>,
+    graph: &mut StateGraph,
+    complete_graph: bool,
+) -> StateSpaceResult {
     eo_obs::span!("engine.finalize");
-    let deadlock_reachable = propagate_completability(ctx, graph, false);
-    let (chb, overlap, completable_states) = accumulate_range(ctx, graph, 0, graph.nodes.len());
+    let deadlock_reachable = propagate_completability(ctx, graph, complete_graph);
+    let (chb, overlap, completable_states) = accumulate(ctx, graph);
     StateSpaceResult {
         chb,
         overlap,
@@ -341,7 +331,7 @@ pub(crate) fn finalize_partial(ctx: &SearchCtx<'_>, graph: &mut StateGraph) -> S
 /// truncated graph legitimately under-approximates completability (and
 /// may even fail to reach any complete state), so the root invariant is
 /// asserted only for full graphs.
-pub(crate) fn propagate_completability(
+fn propagate_completability(
     ctx: &SearchCtx<'_>,
     graph: &mut StateGraph,
     complete_graph: bool,
@@ -372,15 +362,9 @@ pub(crate) fn propagate_completability(
     deadlock_reachable
 }
 
-/// Accumulates the pairwise facts (`chb`, `overlap`) over the completable
-/// states in `lo..hi`. Partial results from disjoint ranges merge by
-/// relation union — that is how the parallel explorer fans this out.
-pub(crate) fn accumulate_range(
-    ctx: &SearchCtx<'_>,
-    graph: &StateGraph,
-    lo: usize,
-    hi: usize,
-) -> (Relation, Relation, usize) {
+/// Accumulates the pairwise facts (`chb`, `overlap`) over every
+/// completable state, returning them with the completable-state count.
+fn accumulate(ctx: &SearchCtx<'_>, graph: &StateGraph) -> (Relation, Relation, usize) {
     let n = ctx.n_events();
     let nodes = &graph.nodes;
     let mut chb = Relation::new(n);
@@ -388,8 +372,8 @@ pub(crate) fn accumulate_range(
     let mut completable_states = 0;
     let mut executed = BitSet::new(n);
     let mut pending = BitSet::new(n);
-    for i in lo..hi {
-        if !nodes[i].completable {
+    for (i, node) in nodes.iter().enumerate() {
+        if !node.completable {
             continue;
         }
         completable_states += 1;
@@ -406,7 +390,7 @@ pub(crate) fn accumulate_range(
 
         // Simultaneously enabled pairs that can both fire and stay
         // completable ⇒ overlap.
-        let enabled = &nodes[i].enabled;
+        let enabled = &node.enabled;
         for x in 0..enabled.len() {
             for y in (x + 1)..enabled.len() {
                 let (p1, e1) = enabled[x];
@@ -549,8 +533,8 @@ pub fn explore_statespace_baseline(
         ctx.step(&mut st, second);
         nodes[index[&st]].completable // reachable by construction
     };
-    for i in 0..nodes.len() {
-        if !nodes[i].completable {
+    for (i, node) in nodes.iter().enumerate() {
+        if !node.completable {
             continue;
         }
         completable_states += 1;

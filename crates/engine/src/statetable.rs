@@ -14,9 +14,8 @@
 //! fingerprints down a (almost always unit-length) bucket, touching state
 //! vectors only to confirm the final match.
 //!
-//! The same table serves the sequential explorer, the parallel explorer's
-//! hash-consing merge, and the witness-query memo tables — one
-//! abstraction, one storage cost, one id space.
+//! The same table serves the cut-lattice explorer and the witness-query
+//! memo tables — one abstraction, one storage cost, one id space.
 
 use eo_model::MachState;
 use eo_relations::fxhash::FxHashMap;

@@ -241,20 +241,3 @@ fn ten_percent_deadline_is_sound() {
         }
     }
 }
-
-#[test]
-fn parallel_analyze_degrades_consistently() {
-    for (name, trace) in fixture_traces() {
-        let exec = trace.to_execution().unwrap();
-        let full = oracle(&exec, FeasibilityMode::PreserveDependences);
-        let engine = ExactEngine::new(&exec).with_budget(Budget::unlimited().with_max_states(4));
-        match engine.analyze_with_threads(3) {
-            AnalysisOutcome::Exact(s) => {
-                assert_eq!(s.check_identities(), Ok(()), "{name}");
-            }
-            AnalysisOutcome::Degraded(d) => {
-                assert_consistent(name, &d, &full);
-            }
-        }
-    }
-}

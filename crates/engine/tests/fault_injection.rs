@@ -3,17 +3,14 @@
 //! Every [`EngineError`] variant the budget can raise is reached here via
 //! a [`FaultPlan`] tripping at a chosen checkpoint, and every degraded
 //! answer produced under an injected fault is checked against the
-//! unbudgeted oracle. `Fault::WorkerPanic` exercises the worker pool's
-//! `catch_unwind` recovery: the exploration must come back with
-//! `EngineError::WorkerFailed` — returning at all proves every pool
-//! thread was joined.
+//! unbudgeted oracle.
 
 #![cfg(feature = "fault-injection")]
 
 use eo_engine::sat_backend::{chb_via_sat, chb_via_sat_budgeted, SatSession};
 use eo_engine::{
-    explore_statespace_parallel_budgeted, AnalysisOutcome, Budget, EngineError, ExactEngine, Fault,
-    FaultPlan, FeasibilityMode, QuerySession, SearchCtx,
+    AnalysisOutcome, Budget, EngineError, ExactEngine, Fault, FaultPlan, FeasibilityMode,
+    QuerySession, SearchCtx,
 };
 use eo_model::fixtures;
 
@@ -60,7 +57,6 @@ fn analyze_degrades_consistently_at_every_fault_point() {
                         }
                         Fault::Memory => matches!(d.reason(), EngineError::MemoryExceeded { .. }),
                         Fault::Cancel => *d.reason() == EngineError::Cancelled,
-                        Fault::WorkerPanic => unreachable!(),
                     };
                     assert!(expected_kind, "{fault:?}@{at} gave {:?}", d.reason());
                     if let Err(msg) = d.check_consistency_against(&full) {
@@ -90,42 +86,6 @@ fn later_fault_points_decide_no_fewer_pairs() {
             d.decided_pairs()
         );
         prev = d.decided_pairs();
-    }
-}
-
-#[test]
-fn worker_panic_is_recovered_and_all_threads_join() {
-    let (trace, _) = fixtures::figure1();
-    let exec = trace.to_execution().unwrap();
-    let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-    for threads in [1, 2, 4] {
-        let budget = faulty(1, Fault::WorkerPanic);
-        let got = explore_statespace_parallel_budgeted(&ctx, &budget, threads);
-        assert_eq!(
-            got.err(),
-            Some(EngineError::WorkerFailed),
-            "{threads} threads"
-        );
-    }
-}
-
-#[test]
-fn worker_panic_mid_run_degrades_the_analysis() {
-    let (trace, _) = fixtures::figure1();
-    let exec = trace.to_execution().unwrap();
-    let full = ExactEngine::new(&exec).summary();
-    // Checkpoint 5 lets a few expansion tasks finish before one panics.
-    for at in [1, 5] {
-        let engine = ExactEngine::new(&exec).with_budget(faulty(at, Fault::WorkerPanic));
-        match engine.analyze_with_threads(4) {
-            AnalysisOutcome::Exact(_) => panic!("worker panic @{at} never tripped"),
-            AnalysisOutcome::Degraded(d) => {
-                assert_eq!(*d.reason(), EngineError::WorkerFailed, "@{at}");
-                if let Err(msg) = d.check_consistency_against(&full) {
-                    panic!("worker panic @{at}: contradicts oracle: {msg}");
-                }
-            }
-        }
     }
 }
 

@@ -5,11 +5,13 @@
 //! bit-identical. In a build without `eo-obs/enabled` both legs are the
 //! same code (arming is a no-op), so the suite passing there pins the
 //! complementary claim: the disabled build behaves as if the probes were
-//! never written.
+//! never written. The last test pins the other direction for the worker
+//! pool: everything its workers record reaches the run.
 
-use eo_engine::{AnalysisOutcome, ExactEngine, FeasibilityMode};
+use eo_engine::{run_tasks, AnalysisOutcome, ExactEngine, FeasibilityMode};
 use eo_model::{fixtures, EventId, Trace};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The recorder is process-global; tests that arm it must not overlap.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -94,34 +96,54 @@ fn recording_is_invisible_to_every_fixture_answer() {
     }
 }
 
+/// Delays a thread's exit: a thread-local destructor registered after the
+/// recorder's buffer runs before that buffer flushes, so a worker that
+/// touches it hands its records to the sink a moment after its closure
+/// has returned — the window a pool that does not join its workers loses
+/// records in.
+struct SlowExit;
+
+impl Drop for SlowExit {
+    fn drop(&mut self) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+thread_local! {
+    static SLOW_EXIT: SlowExit = const { SlowExit };
+}
+
+/// `run_tasks` joins every worker before it returns, so each worker's
+/// thread-local records have reached the sink by the time `finish()`
+/// collects them, however late its thread-local destructors run.
 #[test]
-fn parallel_analysis_is_also_unchanged_by_recording() {
+fn run_tasks_workers_always_reach_the_recording() {
     let _serial = RECORDER_LOCK.lock().unwrap();
-    let (trace, _) = fixtures::figure1();
-    let plain = {
-        let exec = trace.to_execution().unwrap();
-        match ExactEngine::new(&exec).analyze_with_threads(3) {
-            AnalysisOutcome::Exact(s) => s.state_count(),
-            AnalysisOutcome::Degraded(d) => panic!("degraded: {}", d.reason()),
+    const ITEMS: usize = 8;
+    for run in 0..200 {
+        eo_obs::start();
+        let out = run_tasks(2, (0..ITEMS).collect(), |i| {
+            // Record first, so the recorder's buffer is registered
+            // before the slow destructor on this thread.
+            eo_obs::counter!("test.items", 1);
+            SLOW_EXIT.with(|_| ());
+            i + 1
+        });
+        let data = eo_obs::finish();
+        assert!(out.iter().all(Option::is_some), "run {run}");
+        // Without the recording feature RunData is structurally empty.
+        if data.threads.is_empty() {
+            continue;
         }
-    };
-    eo_obs::start();
-    let recorded = {
-        let exec = trace.to_execution().unwrap();
-        match ExactEngine::new(&exec).analyze_with_threads(3) {
-            AnalysisOutcome::Exact(s) => s.state_count(),
-            AnalysisOutcome::Degraded(d) => panic!("degraded: {}", d.reason()),
-        }
-    };
-    let run = eo_obs::finish();
-    assert_eq!(plain, recorded);
-    // Scoped pool workers flush their buffers before results return, so an
-    // armed run sees the worker gauge.
-    let report = eo_obs::report::aggregate(&run);
-    if !run.threads.is_empty() {
+        let report = eo_obs::report::aggregate(&data);
+        assert_eq!(
+            report.counters.get("pool.tasks"),
+            Some(&(ITEMS as u64)),
+            "run {run}: a worker's pool.tasks record was lost"
+        );
         assert!(
             report.gauges.contains_key("pool.workers"),
-            "armed parallel run missing pool.workers"
+            "run {run}: pool.workers missing"
         );
     }
 }

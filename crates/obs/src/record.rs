@@ -8,10 +8,13 @@
 //!   compiles to exactly what it would be with the probes deleted.
 //! - **Lock-free recording.** With the feature on, events go into a
 //!   thread-local `Vec` — no atomics or locks on the hot path beyond one
-//!   relaxed load of the global "recording" flag. Buffers are flushed into a
-//!   global sink when a thread exits (the engine's worker pool uses scoped
-//!   threads, so workers flush before results are returned) and the calling
-//!   thread is flushed explicitly by [`finish`].
+//!   relaxed load of the global "recording" flag. A thread's buffer is
+//!   flushed into a global sink by its thread-local destructor, which runs
+//!   after the thread's closure returns; the calling thread is flushed
+//!   explicitly by [`finish`]. So a worker's records reach [`finish`] once
+//!   its handle has been joined. A `std::thread::scope` alone does not
+//!   guarantee this: its implicit wait can end before the destructors
+//!   run, which is why the engine's worker pool joins every handle.
 //! - **Run-scoped.** [`start`] clears the sink and arms recording;
 //!   [`finish`] disarms it and returns everything recorded in between.
 
@@ -202,8 +205,9 @@ pub fn start() {
 /// Stops the current run and returns everything recorded since [`start`].
 ///
 /// Flushes the calling thread's buffer; other threads contribute their
-/// buffers when they exit (worker threads in the engine are scoped, so they
-/// have always exited by the time results are available to call this).
+/// buffers as they exit. A worker's records are included once its handle
+/// has been joined (the engine's worker pool joins every handle before it
+/// returns); an unjoined scoped thread may still be flushing.
 #[cfg(feature = "enabled")]
 pub fn finish() -> RunData {
     RunData {

@@ -265,11 +265,15 @@ fn recording_captures_spans_counters_and_worker_threads() {
         eo_obs::counter!("test.count", 3);
         eo_obs::gauge!("test.gauge", 7);
         eo_obs::gauge_str("test.cause", "demo");
+        // Join the handle: the scope's implicit wait can return before
+        // the worker's buffer is flushed by its thread-local destructor.
         std::thread::scope(|s| {
             s.spawn(|| {
                 eo_obs::span!("test.worker");
                 eo_obs::counter!("test.count", 5);
-            });
+            })
+            .join()
+            .unwrap();
         });
     }
     let data = eo_obs::finish();

@@ -256,7 +256,6 @@ fn error_json(e: &EngineError) -> String {
             format!(r#"{{"kind":"memory_exceeded","limit":{limit}}}"#)
         }
         EngineError::Cancelled => r#"{"kind":"cancelled"}"#.to_string(),
-        EngineError::WorkerFailed => r#"{"kind":"worker_failed"}"#.to_string(),
         // EngineError is non-exhaustive: future variants degrade to a
         // generic kind instead of breaking the CLI.
         other => format!(r#"{{"kind":"engine_error","message":"{other}"}}"#),

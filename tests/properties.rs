@@ -4,9 +4,7 @@
 
 use eo_engine::{
     enumerate::{enumerate_classes, enumerate_classes_with, enumerate_naive},
-    explore_statespace,
-    parallel::explore_statespace_parallel,
-    queries, EquivStrategy, ExactEngine, FeasibilityMode, SearchCtx,
+    explore_statespace, queries, EquivStrategy, ExactEngine, FeasibilityMode, SearchCtx,
 };
 use eo_lang::generator::{generate_trace, SyncStyle, WorkloadSpec};
 use eo_model::{EventId, ProgramExecution};
@@ -128,18 +126,6 @@ proptest! {
         b.sort_by_key(|r| r.pairs().collect::<Vec<_>>());
         prop_assert_eq!(a, b);
         prop_assert!(pruned.schedules_explored <= naive.schedules_explored);
-    }
-
-    /// The parallel explorer is bit-identical to the sequential one.
-    #[test]
-    fn parallel_statespace_matches_sequential(spec in small_spec()) {
-        let exec = exec_of(&spec);
-        let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        let seq = explore_statespace(&ctx, 1 << 22).unwrap();
-        let par = explore_statespace_parallel(&ctx, 1 << 22, 3).unwrap();
-        prop_assert_eq!(seq.chb, par.chb);
-        prop_assert_eq!(seq.overlap, par.overlap);
-        prop_assert_eq!(seq.states, par.states);
     }
 
     /// The SAT-encoding backend (third independent engine) agrees with
