@@ -230,7 +230,7 @@ fn write_artifact(
         div.b,
         div.exact,
         div.other,
-        trace.to_value().pretty(),
+        trace.to_json(),
     );
     std::fs::write(&path, doc)?;
     Ok(path)

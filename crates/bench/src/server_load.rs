@@ -146,14 +146,14 @@ fn slow_trace_json() -> String {
             tb.push_full(p, eo_model::Op::Compute, &[x], &[x], Some(&format!("w{i}")));
         }
     }
-    tb.build().expect("slow trace is valid").to_value().pretty()
+    tb.build().expect("slow trace is valid").to_json()
 }
 
 fn fixture_gallery() -> Vec<String> {
     vec![
-        fixtures::figure1().0.to_value().pretty(),
-        fixtures::crossing().0.to_value().pretty(),
-        fixtures::fork_join_diamond().0.to_value().pretty(),
+        fixtures::figure1().0.to_json(),
+        fixtures::crossing().0.to_json(),
+        fixtures::fork_join_diamond().0.to_json(),
     ]
 }
 

@@ -19,7 +19,7 @@ use crate::api::{EngineOptions, QueryBackend};
 use crate::budget::Budget;
 use crate::ctx::FeasibilityMode;
 use crate::equiv::EquivStrategy;
-use eo_model::json::{self, Value};
+use eo_obs::json::{self, Value};
 
 /// Every analysis knob, in one serializable struct. See the
 /// [module docs](self).
@@ -54,7 +54,7 @@ impl EngineConfig {
     /// Parses the JSON form. Every field is optional; unknown keys are an
     /// error (config typos must fail loudly, not run a default analysis).
     pub fn from_json(v: &Value) -> Result<EngineConfig, String> {
-        let Value::Object(fields) = v else {
+        let Value::Obj(fields) = v else {
             return Err("engine config must be a JSON object".to_owned());
         };
         let mut cfg = EngineConfig::default();
@@ -113,7 +113,7 @@ impl EngineConfig {
             None => Value::Null,
             Some(n) => Value::Int(*n as i64),
         };
-        Value::Object(vec![
+        Value::Obj(vec![
             (
                 "mode".to_owned(),
                 Value::Str(mode_label(self.mode).to_owned()),
@@ -282,14 +282,14 @@ fn cli_num(args: &[String], name: &str) -> Result<Option<u64>, String> {
 }
 
 fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
-    v.as_str().map_err(|_| format!("{key} must be a string"))
+    v.as_str().ok_or_else(|| format!("{key} must be a string"))
 }
 
 fn cap_field(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v {
         Value::Null => Ok(None),
         _ => match v.as_i64() {
-            Ok(n) if n >= 0 => Ok(Some(n as u64)),
+            Some(n) if n >= 0 => Ok(Some(n as u64)),
             _ => Err(format!("{key} must be a non-negative integer or null")),
         },
     }
@@ -378,6 +378,16 @@ mod tests {
         // A missing file or bad flag value fails loudly.
         assert!(EngineConfig::from_cli(&["--config".into(), "/nonexistent.json".into()]).is_err());
         assert!(EngineConfig::from_cli(&["--timeout".into(), "soon".into()]).is_err());
+    }
+
+    #[test]
+    fn caps_round_trip_exactly_past_two_to_the_53() {
+        let cfg = EngineConfig {
+            max_mem_bytes: Some((1 << 53) + 1),
+            ..EngineConfig::default()
+        };
+        let back = EngineConfig::from_json_str(&cfg.to_json().pretty()).expect("parses");
+        assert_eq!(back.max_mem_bytes, Some((1 << 53) + 1));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Structured diagnostics: what a lint found, where, and how bad.
 
 use eo_lang::StmtId;
-use eo_model::json::Value;
 use eo_model::EventId;
+use eo_obs::json::Value;
 
 /// How serious a diagnostic is.
 ///
@@ -157,20 +157,20 @@ impl LintReport {
             .iter()
             .map(|d| {
                 let anchor = match d.anchor {
-                    Anchor::Program => Value::Object(vec![(
+                    Anchor::Program => Value::Obj(vec![(
                         "kind".to_string(),
                         Value::Str("program".to_string()),
                     )]),
-                    Anchor::Stmt(s) => Value::Object(vec![
+                    Anchor::Stmt(s) => Value::Obj(vec![
                         ("kind".to_string(), Value::Str("stmt".to_string())),
                         ("index".to_string(), Value::Int(s.index() as i64)),
                     ]),
-                    Anchor::Event(e) => Value::Object(vec![
+                    Anchor::Event(e) => Value::Obj(vec![
                         ("kind".to_string(), Value::Str("event".to_string())),
                         ("index".to_string(), Value::Int(e.index() as i64)),
                     ]),
                 };
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("code".to_string(), Value::Str(d.code.to_string())),
                     (
                         "severity".to_string(),
@@ -181,17 +181,17 @@ impl LintReport {
                     ("message".to_string(), Value::Str(d.message.clone())),
                     (
                         "notes".to_string(),
-                        Value::Array(d.notes.iter().map(|n| Value::Str(n.clone())).collect()),
+                        Value::Arr(d.notes.iter().map(|n| Value::Str(n.clone())).collect()),
                     ),
                 ])
             })
             .collect();
-        Value::Object(vec![
+        Value::Obj(vec![
             (
                 "schema_version".to_string(),
                 Value::Int(eo_obs::report::SCHEMA_VERSION),
             ),
-            ("diagnostics".to_string(), Value::Array(diags)),
+            ("diagnostics".to_string(), Value::Arr(diags)),
             (
                 "errors".to_string(),
                 Value::Int(self.count(Severity::Error) as i64),

@@ -101,9 +101,12 @@ mod tests {
     #[test]
     fn json_form_is_transparent() {
         // Ids serialize as bare numbers in the trace format (see
-        // `crate::json` and `Trace::to_json`).
-        use crate::json::Value;
-        assert_eq!(Value::Int(i64::from(EventId::new(5).0)).compact(), "5");
-        assert_eq!(Value::Int(5).as_u32().unwrap(), EventId::new(5).0);
+        // `Trace::to_json`).
+        use eo_obs::json::{parse, Value};
+        assert_eq!(Value::Int(i64::from(EventId::new(5).0)).to_json(), "5");
+        assert_eq!(
+            parse("5").unwrap(),
+            Value::Int(i64::from(EventId::new(5).0))
+        );
     }
 }

@@ -34,6 +34,9 @@
 //!   for what "a valid schedule" means.
 //! * [`fixtures`] — small hand-built executions (including the paper's
 //!   Figure 1 fragment) shared by test suites across the workspace.
+//!
+//! Traces travel as JSON ([`Trace::to_json`], [`Trace::from_json`]), read
+//! and written through `eo_obs::json`, the workspace's one JSON codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +47,6 @@ pub mod execution;
 pub mod fixtures;
 pub mod ids;
 pub mod induce;
-pub mod json;
 pub mod machine;
 pub mod render;
 pub mod trace;

@@ -14,8 +14,8 @@
 
 use crate::event::{Event, Op};
 use crate::ids::{EvVarId, EventId, ProcessId, SemId, VarId};
-use crate::json::{self, JsonError, Value};
 use crate::machine::{Machine, ReplayError};
+use eo_obs::json::{self, Value};
 
 /// Declaration of one process.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -279,8 +279,7 @@ impl Trace {
 
     /// Deserializes a trace from JSON and validates it.
     pub fn from_json(json: &str) -> Result<Trace, Box<dyn std::error::Error>> {
-        let value = json::parse(json)?;
-        let t = Trace::from_value(&value)?;
+        let t = Trace::from_value(&json::parse(json)?)?;
         t.validate()?;
         Ok(t)
     }
@@ -288,17 +287,17 @@ impl Trace {
     /// The trace as a JSON tree (field order fixed by the on-disk format).
     pub fn to_value(&self) -> Value {
         let id = |n: u32| Value::Int(i64::from(n));
-        let ids = |xs: &[VarId]| Value::Array(xs.iter().map(|v| id(v.0)).collect());
-        let procs = |xs: &[ProcessId]| Value::Array(xs.iter().map(|p| id(p.0)).collect());
+        let ids = |xs: &[VarId]| Value::Arr(xs.iter().map(|v| id(v.0)).collect());
+        let procs = |xs: &[ProcessId]| Value::Arr(xs.iter().map(|p| id(p.0)).collect());
         let op = |op: &Op| match op {
             Op::Compute => Value::Str("Compute".into()),
-            Op::SemP(s) => Value::Object(vec![("SemP".into(), id(s.0))]),
-            Op::SemV(s) => Value::Object(vec![("SemV".into(), id(s.0))]),
-            Op::Post(v) => Value::Object(vec![("Post".into(), id(v.0))]),
-            Op::Wait(v) => Value::Object(vec![("Wait".into(), id(v.0))]),
-            Op::Clear(v) => Value::Object(vec![("Clear".into(), id(v.0))]),
-            Op::Fork(children) => Value::Object(vec![("Fork".into(), procs(children))]),
-            Op::Join(children) => Value::Object(vec![("Join".into(), procs(children))]),
+            Op::SemP(s) => Value::Obj(vec![("SemP".into(), id(s.0))]),
+            Op::SemV(s) => Value::Obj(vec![("SemV".into(), id(s.0))]),
+            Op::Post(v) => Value::Obj(vec![("Post".into(), id(v.0))]),
+            Op::Wait(v) => Value::Obj(vec![("Wait".into(), id(v.0))]),
+            Op::Clear(v) => Value::Obj(vec![("Clear".into(), id(v.0))]),
+            Op::Fork(children) => Value::Obj(vec![("Fork".into(), procs(children))]),
+            Op::Join(children) => Value::Obj(vec![("Join".into(), procs(children))]),
         };
         let opt_str = |s: &Option<String>| match s {
             Some(s) => Value::Str(s.clone()),
@@ -308,7 +307,7 @@ impl Trace {
             .events
             .iter()
             .map(|e| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("id".into(), id(e.id.0)),
                     ("process".into(), id(e.process.0)),
                     ("op".into(), op(&e.op)),
@@ -322,7 +321,7 @@ impl Trace {
             .processes
             .iter()
             .map(|p| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("name".into(), Value::Str(p.name.clone())),
                     (
                         "created_by".into(),
@@ -338,7 +337,7 @@ impl Trace {
             .semaphores
             .iter()
             .map(|s| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("name".into(), Value::Str(s.name.clone())),
                     ("initial".into(), id(s.initial)),
                 ])
@@ -348,7 +347,7 @@ impl Trace {
             .event_vars
             .iter()
             .map(|v| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("name".into(), Value::Str(v.name.clone())),
                     ("initially_set".into(), Value::Bool(v.initially_set)),
                 ])
@@ -357,126 +356,132 @@ impl Trace {
         let variables = self
             .variables
             .iter()
-            .map(|v| Value::Object(vec![("name".into(), Value::Str(v.name.clone()))]))
+            .map(|v| Value::Obj(vec![("name".into(), Value::Str(v.name.clone()))]))
             .collect();
-        Value::Object(vec![
-            ("events".into(), Value::Array(events)),
-            ("processes".into(), Value::Array(processes)),
-            ("semaphores".into(), Value::Array(semaphores)),
-            ("event_vars".into(), Value::Array(event_vars)),
-            ("variables".into(), Value::Array(variables)),
+        Value::Obj(vec![
+            ("events".into(), Value::Arr(events)),
+            ("processes".into(), Value::Arr(processes)),
+            ("semaphores".into(), Value::Arr(semaphores)),
+            ("event_vars".into(), Value::Arr(event_vars)),
+            ("variables".into(), Value::Arr(variables)),
         ])
     }
 
     /// Decodes a trace from a JSON tree (shape errors only — call
-    /// [`Trace::validate`] for the semantic invariants).
-    pub fn from_value(value: &Value) -> Result<Trace, JsonError> {
-        let var_ids = |v: &Value| -> Result<Vec<VarId>, JsonError> {
-            v.as_array()?
-                .iter()
-                .map(|x| Ok(VarId(x.as_u32()?)))
-                .collect()
-        };
-        let proc_ids = |v: &Value| -> Result<Vec<ProcessId>, JsonError> {
-            v.as_array()?
-                .iter()
-                .map(|x| Ok(ProcessId(x.as_u32()?)))
-                .collect()
-        };
-        let decode_op = |v: &Value| -> Result<Op, JsonError> {
-            if let Ok(name) = v.as_str() {
-                return match name {
-                    "Compute" => Ok(Op::Compute),
-                    other => Err(JsonError::new(format!("unknown op {other:?}"))),
-                };
-            }
-            let members = v.as_object()?;
-            let [(tag, payload)] = members else {
-                return Err(JsonError::new("op object must have exactly one member"));
+    /// [`Trace::validate`] for the semantic invariants). Errors name the
+    /// member at fault.
+    pub fn from_value(value: &Value) -> Result<Trace, String> {
+        let op = |op: &Value| -> Result<Op, String> {
+            let tag = match op {
+                Value::Str(name) if name == "Compute" => return Ok(Op::Compute),
+                Value::Str(other) => return Err(format!("unknown op {other:?}")),
+                Value::Obj(fields) if fields.len() == 1 => fields[0].0.as_str(),
+                _ => return Err("\"op\" must be \"Compute\" or a one-member object".into()),
             };
-            match tag.as_str() {
-                "SemP" => Ok(Op::SemP(SemId(payload.as_u32()?))),
-                "SemV" => Ok(Op::SemV(SemId(payload.as_u32()?))),
-                "Post" => Ok(Op::Post(EvVarId(payload.as_u32()?))),
-                "Wait" => Ok(Op::Wait(EvVarId(payload.as_u32()?))),
-                "Clear" => Ok(Op::Clear(EvVarId(payload.as_u32()?))),
-                "Fork" => Ok(Op::Fork(proc_ids(payload)?)),
-                "Join" => Ok(Op::Join(proc_ids(payload)?)),
-                other => Err(JsonError::new(format!("unknown op {other:?}"))),
-            }
+            Ok(match tag {
+                "SemP" => Op::SemP(SemId(uint(op, tag)?)),
+                "SemV" => Op::SemV(SemId(uint(op, tag)?)),
+                "Post" => Op::Post(EvVarId(uint(op, tag)?)),
+                "Wait" => Op::Wait(EvVarId(uint(op, tag)?)),
+                "Clear" => Op::Clear(EvVarId(uint(op, tag)?)),
+                "Fork" => Op::Fork(uints(op, tag, ProcessId)?),
+                "Join" => Op::Join(uints(op, tag, ProcessId)?),
+                other => return Err(format!("unknown op {other:?}")),
+            })
         };
-        let events = value
-            .get("events")?
-            .as_array()?
-            .iter()
-            .map(|e| {
-                Ok(Event {
-                    id: EventId(e.get("id")?.as_u32()?),
-                    process: ProcessId(e.get("process")?.as_u32()?),
-                    op: decode_op(e.get("op")?)?,
-                    reads: var_ids(e.get("reads")?)?,
-                    writes: var_ids(e.get("writes")?)?,
-                    label: match e.get("label")? {
-                        Value::Null => None,
-                        other => Some(other.as_str()?.to_owned()),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let processes = value
-            .get("processes")?
-            .as_array()?
-            .iter()
-            .map(|p| {
-                Ok(ProcessDecl {
-                    name: p.get("name")?.as_str()?.to_owned(),
-                    created_by: match p.get("created_by")? {
-                        Value::Null => None,
-                        other => Some(EventId(other.as_u32()?)),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let semaphores = value
-            .get("semaphores")?
-            .as_array()?
-            .iter()
-            .map(|s| {
-                Ok(SemDecl {
-                    name: s.get("name")?.as_str()?.to_owned(),
-                    initial: s.get("initial")?.as_u32()?,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let event_vars = value
-            .get("event_vars")?
-            .as_array()?
-            .iter()
-            .map(|v| {
-                Ok(EvVarDecl {
-                    name: v.get("name")?.as_str()?.to_owned(),
-                    initially_set: v.get("initially_set")?.as_bool()?,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let variables = value
-            .get("variables")?
-            .as_array()?
-            .iter()
-            .map(|v| {
-                Ok(VarDecl {
-                    name: v.get("name")?.as_str()?.to_owned(),
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
         Ok(Trace {
-            events,
-            processes,
-            semaphores,
-            event_vars,
-            variables,
+            events: list(value, "events", |e| {
+                Ok(Event {
+                    id: EventId(uint(e, "id")?),
+                    process: ProcessId(uint(e, "process")?),
+                    op: op(member(e, "op")?)?,
+                    reads: uints(e, "reads", VarId)?,
+                    writes: uints(e, "writes", VarId)?,
+                    label: match member(e, "label")? {
+                        Value::Null => None,
+                        _ => Some(string(e, "label")?),
+                    },
+                })
+            })?,
+            processes: list(value, "processes", |p| {
+                Ok(ProcessDecl {
+                    name: string(p, "name")?,
+                    created_by: match member(p, "created_by")? {
+                        Value::Null => None,
+                        _ => Some(EventId(uint(p, "created_by")?)),
+                    },
+                })
+            })?,
+            semaphores: list(value, "semaphores", |s| {
+                Ok(SemDecl {
+                    name: string(s, "name")?,
+                    initial: uint(s, "initial")?,
+                })
+            })?,
+            event_vars: list(value, "event_vars", |v| {
+                Ok(EvVarDecl {
+                    name: string(v, "name")?,
+                    initially_set: match member(v, "initially_set")? {
+                        Value::Bool(b) => *b,
+                        _ => return Err("\"initially_set\" must be a boolean".into()),
+                    },
+                })
+            })?,
+            variables: list(value, "variables", |v| {
+                Ok(VarDecl {
+                    name: string(v, "name")?,
+                })
+            })?,
         })
     }
+}
+
+// Shape checks for `Trace::from_value`: each looks up `key` in the object
+// `obj` and names it in the error.
+
+fn member<'v>(obj: &'v Value, key: &str) -> Result<&'v Value, String> {
+    obj.get(key)
+        .ok_or_else(|| format!("missing member {key:?}"))
+}
+
+fn string(obj: &Value, key: &str) -> Result<String, String> {
+    match member(obj, key)? {
+        Value::Str(s) => Ok(s.clone()),
+        _ => Err(format!("{key:?} must be a string")),
+    }
+}
+
+/// A dense id or counter: integer text in the `u32` range.
+fn as_u32(v: &Value) -> Option<u32> {
+    match v {
+        Value::Int(n) => u32::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+fn uint(obj: &Value, key: &str) -> Result<u32, String> {
+    as_u32(member(obj, key)?).ok_or_else(|| format!("{key:?} must be an integer in 0..=4294967295"))
+}
+
+fn uints<T>(obj: &Value, key: &str, make: fn(u32) -> T) -> Result<Vec<T>, String> {
+    list(obj, key, |v| {
+        as_u32(v)
+            .map(make)
+            .ok_or_else(|| format!("{key:?} must hold integers in 0..=4294967295"))
+    })
+}
+
+fn list<T>(
+    obj: &Value,
+    key: &str,
+    item: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    member(obj, key)?
+        .as_array()
+        .ok_or_else(|| format!("{key:?} must be an array"))?
+        .iter()
+        .map(item)
+        .collect()
 }
 
 /// Incremental construction of hand-built traces.
@@ -818,6 +823,23 @@ mod tests {
         let t = tb.build().unwrap();
         let back = Trace::from_json(&t.to_json()).unwrap();
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn json_ids_must_be_u32_integers() {
+        let mut tb = TraceBuilder::new();
+        let p = tb.process("p");
+        tb.semaphore("s", 0);
+        tb.push(p, Op::Compute);
+        let text = tb.build().unwrap().to_json();
+        let max = Trace::from_json(&text.replace("\"initial\": 0", "\"initial\": 4294967295"));
+        assert_eq!(max.unwrap().semaphores[0].initial, u32::MAX);
+        for bad in ["4294967296", "1.5", "-1"] {
+            let err = Trace::from_json(&text.replace("\"id\": 0", &format!("\"id\": {bad}")))
+                .expect_err(bad)
+                .to_string();
+            assert!(err.contains("\"id\""), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Minimal hand-rolled JSON reader/writer used by the observability layer.
+//! The workspace's JSON reader and writer.
 //!
-//! The build environment is fully offline (no serde), and the workspace's
-//! existing `eo_model::json` value deliberately supports integers only. The
-//! trace/metrics schemas and the committed bench baselines
-//! (`BENCH_engine.json`) contain fractional milliseconds, so this module
-//! carries its own value type with a float variant. Objects preserve
-//! insertion order; the writer emits numbers as integers whenever they are
-//! exactly representable as one, so integer metrics round-trip textually.
+//! The build environment is fully offline (no serde), so every document
+//! the workspace reads or writes goes through this module: traces and
+//! engine configs, lint and MHP reports, serve and eo-server requests and
+//! replies, metrics and Chrome-trace exports, and the committed bench
+//! baselines. Objects preserve member order. Integer text parses to an
+//! exact [`Value::Int`] over the full `i64` range; any other number is a
+//! [`Value::Num`], which the writer prints as an integer whenever it is
+//! exactly one, so integer metrics round-trip textually. The writer emits
+//! compact text ([`Value::to_json`]) or serde_json's two-space pretty
+//! format ([`Value::pretty`]), the on-disk trace format.
 
 use std::fmt::Write as _;
 
@@ -17,7 +20,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number; integers are exact up to 2^53.
+    /// A number written as an integer that fits `i64`; exact.
+    Int(i64),
+    /// Any other number; integers are exact up to 2^53.
     Num(f64),
     /// A string.
     Str(String),
@@ -39,6 +44,7 @@ impl Value {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -47,6 +53,7 @@ impl Value {
     /// The value as an integer, if it is a number with no fractional part.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
+            Value::Int(n) => Some(*n),
             Value::Num(n) if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 => {
                 Some(*n as i64)
             }
@@ -73,39 +80,76 @@ impl Value {
     /// Serializes the value to compact JSON text.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Serializes the value with two-space indentation (serde_json's
+    /// pretty format: empty arrays and objects stay `[]` and `{}`).
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// `depth` is the indentation level when pretty-printing, `None` for
+    /// compact output.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        let inner = depth.map(|d| d + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Num(n) => write_num(*n, out),
             Value::Str(s) => write_str(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
+                    separate(out, i, inner);
+                    item.write(out, inner);
                 }
+                close(out, items.is_empty(), depth);
                 out.push(']');
             }
             Value::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                    separate(out, i, inner);
                     write_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
+                close(out, fields.is_empty(), depth);
                 out.push('}');
             }
         }
+    }
+}
+
+/// Starts the `i`th element of a container: a comma after the first, and
+/// a new line at the element's indentation when pretty-printing.
+fn separate(out: &mut String, i: usize, depth: Option<usize>) {
+    if i > 0 {
+        out.push(',');
+    }
+    if let Some(d) = depth {
+        newline(out, d);
+    }
+}
+
+/// Puts the closing bracket of a non-empty pretty container on its own line.
+fn close(out: &mut String, empty: bool, depth: Option<usize>) {
+    if let (false, Some(d)) = (empty, depth) {
+        newline(out, d);
+    }
+}
+
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 
@@ -165,6 +209,7 @@ impl std::error::Error for ParseError {}
 /// Parses a complete JSON document; trailing whitespace is allowed.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -178,6 +223,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -286,13 +332,21 @@ impl Parser<'_> {
         self.eat(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go. Both
+            // delimiters are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -305,48 +359,36 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let cp = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                // High surrogate: require a \uXXXX low surrogate.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                            };
-                            out.push(c);
-                            // hex4 leaves pos just past the last digit; the
-                            // outer loop's advance below is skipped via
-                            // continue since we already consumed everything.
+                            out.push(self.unicode_escape()?);
+                            // `hex4` already consumed the escape.
                             continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the digits of a `\u` escape (and the low half of a
+    /// surrogate pair).
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let cp = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&cp) {
+            return char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"));
+        }
+        // High surrogate: require a \uXXXX low surrogate.
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Err(self.err("lone high surrogate"));
+        }
+        self.pos += 2;
+        let lo = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(self.err("invalid low surrogate"));
+        }
+        let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+        char::from_u32(combined).ok_or_else(|| self.err("invalid surrogate pair"))
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -369,29 +411,33 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.digits();
+        let integral = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
-            offset: start,
-            message: "invalid number",
-        })
+        let text = &self.text[start..self.pos];
+        // Integers outside the i64 range fall back to the nearest f64.
+        match text.parse::<i64>() {
+            Ok(n) if integral => Ok(Value::Int(n)),
+            _ => text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
+                offset: start,
+                message: "invalid number",
+            }),
+        }
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
     }
 }

@@ -11,8 +11,8 @@
 //!   JSON ([`report::trace_to_json`]), a flat metrics JSON document with a
 //!   fixed schema ([`report::ENGINE_METRICS`]), and a human profile table
 //!   ([`report::render_profile`]);
-//! - a small self-contained JSON reader/writer with float support
-//!   ([`json`]), shared with the bench perf-regression gate.
+//! - the workspace's one JSON reader/writer ([`json`]), through which
+//!   traces, configs, reports, serve replies and BENCH files all pass.
 //!
 //! ## Zero cost when disabled
 //!

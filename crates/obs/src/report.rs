@@ -36,7 +36,7 @@ pub enum MetricValue {
 impl MetricValue {
     fn to_value(&self) -> Value {
         match self {
-            MetricValue::Int(v) => Value::Num(*v as f64),
+            MetricValue::Int(v) => Value::Int(*v),
             MetricValue::Float(v) => Value::Num(*v),
             MetricValue::Str(s) => Value::Str(s.clone()),
         }
@@ -222,10 +222,8 @@ impl Report {
 /// Serializes a flat metrics map to a single JSON object (sorted keys,
 /// preceded by a [`SCHEMA_VERSION`] stamp).
 pub fn metrics_to_json(metrics: &BTreeMap<String, MetricValue>) -> String {
-    let mut fields: Vec<(String, Value)> = vec![(
-        "schema_version".to_owned(),
-        Value::Num(SCHEMA_VERSION as f64),
-    )];
+    let mut fields: Vec<(String, Value)> =
+        vec![("schema_version".to_owned(), Value::Int(SCHEMA_VERSION))];
     fields.extend(metrics.iter().map(|(k, v)| (k.clone(), v.to_value())));
     let mut text = Value::Obj(fields).to_json();
     text.push('\n');
@@ -252,7 +250,7 @@ pub fn metrics_from_json(text: &str) -> Result<BTreeMap<String, MetricValue>, js
             continue;
         }
         let mv = match value {
-            Value::Num(_) => match value.as_i64() {
+            Value::Int(_) | Value::Num(_) => match value.as_i64() {
                 Some(i) => MetricValue::Int(i),
                 None => MetricValue::Float(value.as_f64().unwrap_or(0.0)),
             },
@@ -283,22 +281,19 @@ pub fn trace_to_json(report: &Report) -> String {
                 ("name".to_owned(), Value::Str(s.name.clone())),
                 ("cat".to_owned(), Value::Str("eo".to_owned())),
                 ("ph".to_owned(), Value::Str("X".to_owned())),
-                ("ts".to_owned(), Value::Num(s.start_us as f64)),
-                ("dur".to_owned(), Value::Num(s.dur_us as f64)),
-                ("pid".to_owned(), Value::Num(1.0)),
-                ("tid".to_owned(), Value::Num(s.tid as f64)),
+                ("ts".to_owned(), Value::Int(s.start_us as i64)),
+                ("dur".to_owned(), Value::Int(s.dur_us as i64)),
+                ("pid".to_owned(), Value::Int(1)),
+                ("tid".to_owned(), Value::Int(s.tid as i64)),
                 (
                     "args".to_owned(),
-                    Value::Obj(vec![("self_us".to_owned(), Value::Num(s.self_us as f64))]),
+                    Value::Obj(vec![("self_us".to_owned(), Value::Int(s.self_us as i64))]),
                 ),
             ])
         })
         .collect();
     let doc = Value::Obj(vec![
-        (
-            "schema_version".to_owned(),
-            Value::Num(SCHEMA_VERSION as f64),
-        ),
+        ("schema_version".to_owned(), Value::Int(SCHEMA_VERSION)),
         ("traceEvents".to_owned(), Value::Arr(events)),
         ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
     ]);

@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 #[test]
 fn json_value_round_trips_through_text() {
     let doc = Value::Obj(vec![
-        ("int".to_owned(), Value::Num(666.0)),
-        ("neg".to_owned(), Value::Num(-42.0)),
+        ("int".to_owned(), Value::Int(666)),
+        ("neg".to_owned(), Value::Int(-42)),
         ("float".to_owned(), Value::Num(1.249)),
         ("tiny".to_owned(), Value::Num(2.5e-4)),
         (
@@ -29,7 +29,7 @@ fn json_value_round_trips_through_text() {
         (
             "list".to_owned(),
             Value::Arr(vec![
-                Value::Num(1.0),
+                Value::Int(1),
                 Value::Str("x".to_owned()),
                 Value::Bool(false),
             ]),
@@ -70,9 +70,80 @@ fn json_rejects_malformed_documents() {
         "\"unterminated",
         "1 2",
         "{\"a\" 1}",
+        "[1,]",
     ] {
         assert!(json::parse(bad).is_err(), "should reject {bad:?}");
     }
+}
+
+#[test]
+fn json_pretty_output_is_serde_shaped_and_round_trips() {
+    let v = Value::Obj(vec![
+        ("name".into(), Value::Str("x\"y".into())),
+        ("ids".into(), Value::Arr(vec![Value::Int(0), Value::Int(1)])),
+        ("empty".into(), Value::Arr(vec![])),
+        ("flag".into(), Value::Null),
+    ]);
+    let text = v.pretty();
+    assert_eq!(json::parse(&text).unwrap(), v);
+    assert!(text.contains("\"ids\": [\n    0,\n    1\n  ]"), "{text}");
+    assert!(text.contains("\"empty\": []"));
+}
+
+#[test]
+fn json_parses_scalars_and_nested_structures() {
+    assert_eq!(json::parse("null").unwrap(), Value::Null);
+    assert_eq!(json::parse(" true ").unwrap(), Value::Bool(true));
+    assert_eq!(json::parse("-42").unwrap(), Value::Int(-42));
+    let v = json::parse(r#"{"xs": [1, 2], "o": {"k": null}}"#).unwrap();
+    assert_eq!(
+        v.get("xs").and_then(Value::as_array).map(<[_]>::len),
+        Some(2)
+    );
+    assert_eq!(v.get("o").and_then(|o| o.get("k")), Some(&Value::Null));
+}
+
+#[test]
+fn json_compact_output_round_trips() {
+    let v = json::parse(r#"{"a":[true,false],"b":"s"}"#).unwrap();
+    assert_eq!(json::parse(&v.to_json()).unwrap(), v);
+}
+
+#[test]
+fn json_integers_are_exact_over_the_i64_range() {
+    for n in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {
+        assert_eq!(json::parse(&n.to_string()).unwrap(), Value::Int(n));
+        assert_eq!(Value::Int(n).to_json(), n.to_string());
+    }
+    // Fractions, exponents and integers past i64 are floats.
+    assert_eq!(json::parse("1.0").unwrap(), Value::Num(1.0));
+    assert_eq!(json::parse("1e3").unwrap().as_i64(), Some(1000));
+    assert_eq!(
+        json::parse("9223372036854775808").unwrap(),
+        Value::Num(9.223_372_036_854_776e18)
+    );
+}
+
+#[test]
+fn json_long_strings_parse_in_linear_time() {
+    // 2 MiB of runs cut by escapes and multibyte characters; decoding used
+    // to re-validate the rest of the input per character (minutes here).
+    let body = "0123456789abcdefghijklmnopqrstuvwxyz\u{e9}\u{1F600}\\\"".repeat((2 << 20) / 44 + 1);
+    let doc = format!("{{\"program\": \"{body}\"}}");
+    let start = std::time::Instant::now();
+    let v = json::parse(&doc).expect("long string parses");
+    let elapsed = start.elapsed();
+    assert_eq!(
+        v.get("program").and_then(Value::as_str),
+        Some(body.replace("\\\"", "\"").as_str())
+    );
+    assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
+}
+
+#[test]
+fn json_string_runs_split_at_multibyte_characters_and_escapes() {
+    let v = json::parse(r#""é\"ü\u00e9😀\ud83d\ude00€\\ñ\n""#).unwrap();
+    assert_eq!(v.as_str(), Some("é\"üé😀😀€\\ñ\n"));
 }
 
 #[test]

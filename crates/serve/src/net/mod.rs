@@ -612,7 +612,7 @@ impl Reactor {
                             "program".to_owned(),
                             Value::Str(format!("{fingerprint:016x}")),
                         ),
-                        ("events".to_owned(), Value::Num(events as f64)),
+                        ("events".to_owned(), Value::Int(events as i64)),
                         ("fresh".to_owned(), Value::Bool(fresh)),
                     ],
                 );
@@ -716,10 +716,7 @@ impl Reactor {
 /// header fields plus `extra`.
 fn render_doc(id: &Option<Value>, op: &str, status: &str, extra: Vec<(String, Value)>) -> String {
     let mut fields = vec![
-        (
-            "schema_version".to_owned(),
-            Value::Num(SCHEMA_VERSION as f64),
-        ),
+        ("schema_version".to_owned(), Value::Int(SCHEMA_VERSION)),
         ("id".to_owned(), id.clone().unwrap_or(Value::Null)),
         ("op".to_owned(), Value::Str(op.to_owned())),
         ("status".to_owned(), Value::Str(status.to_owned())),
@@ -737,7 +734,7 @@ fn render_overloaded(id: &Option<Value>, op: &str, retry_after_ms: u64) -> Strin
         "overloaded",
         vec![(
             "retry_after_ms".to_owned(),
-            Value::Num(retry_after_ms as f64),
+            Value::Int(retry_after_ms as i64),
         )],
     )
 }

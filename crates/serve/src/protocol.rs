@@ -193,10 +193,7 @@ fn event_ref(exec: &ProgramExecution, v: &Value, key: &str) -> Result<EventId, S
 
 fn base_fields(id: &Option<Value>, op: &str, status: &str) -> Vec<(String, Value)> {
     vec![
-        (
-            "schema_version".to_owned(),
-            Value::Num(SCHEMA_VERSION as f64),
-        ),
+        ("schema_version".to_owned(), Value::Int(SCHEMA_VERSION)),
         ("id".to_owned(), id.clone().unwrap_or(Value::Null)),
         ("op".to_owned(), Value::Str(op.to_owned())),
         ("status".to_owned(), Value::Str(status.to_owned())),
@@ -209,7 +206,7 @@ fn witness_value(witness: &Option<Vec<EventId>>) -> Value {
         Some(schedule) => Value::Arr(
             schedule
                 .iter()
-                .map(|e| Value::Num(e.index() as f64))
+                .map(|e| Value::Int(e.index() as i64))
                 .collect(),
         ),
     }
@@ -274,17 +271,17 @@ pub fn render_reply(id: &Option<Value>, reply: &SessionReply) -> String {
             fields.push((
                 "summary".to_owned(),
                 Value::Obj(vec![
-                    ("events".to_owned(), Value::Num(s.n_events() as f64)),
-                    ("classes".to_owned(), Value::Num(s.class_count() as f64)),
-                    ("states".to_owned(), Value::Num(s.state_count() as f64)),
-                    ("mhb_pairs".to_owned(), Value::Num(mhb_pairs as f64)),
+                    ("events".to_owned(), Value::Int(s.n_events() as i64)),
+                    ("classes".to_owned(), Value::Int(s.class_count() as i64)),
+                    ("states".to_owned(), Value::Int(s.state_count() as i64)),
+                    ("mhb_pairs".to_owned(), Value::Int(mhb_pairs as i64)),
                     (
                         "chb_pairs".to_owned(),
-                        Value::Num(s.chb_relation().pair_count() as f64),
+                        Value::Int(s.chb_relation().pair_count() as i64),
                     ),
                     (
                         "ccw_pairs".to_owned(),
-                        Value::Num(s.ccw_relation().pair_count() as f64),
+                        Value::Int(s.ccw_relation().pair_count() as i64),
                     ),
                 ]),
             ));
@@ -299,7 +296,7 @@ pub fn render_races(id: &Option<Value>, races: &[Race], cached: bool) -> String 
     let mut fields = base_fields(id, "races", "exact");
     fields.push(("cached".to_owned(), Value::Bool(cached)));
     fields.push(("prefilter".to_owned(), Value::Bool(false)));
-    fields.push(("count".to_owned(), Value::Num(races.len() as f64)));
+    fields.push(("count".to_owned(), Value::Int(races.len() as i64)));
     fields.push((
         "races".to_owned(),
         Value::Arr(
@@ -307,8 +304,8 @@ pub fn render_races(id: &Option<Value>, races: &[Race], cached: bool) -> String 
                 .iter()
                 .map(|r| {
                     Value::Obj(vec![
-                        ("first".to_owned(), Value::Num(r.first.index() as f64)),
-                        ("second".to_owned(), Value::Num(r.second.index() as f64)),
+                        ("first".to_owned(), Value::Int(r.first.index() as i64)),
+                        ("second".to_owned(), Value::Int(r.second.index() as i64)),
                     ])
                 })
                 .collect(),
@@ -343,7 +340,7 @@ pub fn render_error(id: &Option<Value>, message: &str) -> String {
 pub fn render_error_at(id: &Option<Value>, message: &str, line: Option<usize>) -> String {
     let mut fields = base_fields(id, "error", "error");
     if let Some(n) = line {
-        fields.push(("line".to_owned(), Value::Num(n as f64)));
+        fields.push(("line".to_owned(), Value::Int(n as i64)));
     }
     fields.push(("error".to_owned(), Value::Str(message.to_owned())));
     Value::Obj(fields).to_json()
@@ -429,7 +426,7 @@ mod tests {
 
     #[test]
     fn responses_carry_schema_version_and_echo_ids() {
-        let rendered = render_error(&Some(Value::Num(7.0)), "boom");
+        let rendered = render_error(&Some(Value::Int(7)), "boom");
         let v = eo_obs::json::parse(&rendered).expect("valid JSON");
         assert_eq!(
             v.get("schema_version").and_then(Value::as_i64),

@@ -678,7 +678,7 @@ pub fn primitive_set(exec: &ProgramExecution) -> Vec<&'static str> {
 /// Fingerprints a program execution by hashing its canonical trace JSON.
 pub fn fingerprint(exec: &ProgramExecution) -> u64 {
     let mut h = FxHasher::default();
-    h.write(exec.trace().to_value().pretty().as_bytes());
+    h.write(exec.trace().to_json().as_bytes());
     h.finish()
 }
 

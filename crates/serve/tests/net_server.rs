@@ -12,12 +12,12 @@ use std::time::{Duration, Instant};
 
 fn figure1_json() -> String {
     let (trace, _) = fixtures::figure1();
-    trace.to_value().pretty()
+    trace.to_json()
 }
 
 fn crossing_json() -> String {
     let (trace, _, _) = fixtures::crossing();
-    trace.to_value().pretty()
+    trace.to_json()
 }
 
 fn test_config() -> ServerConfig {
@@ -363,7 +363,7 @@ fn a_backpressured_connection_is_exempt_from_the_slowloris_clock() {
             );
         }
     }
-    let big = tb.build().expect("trace is valid").to_value().pretty();
+    let big = tb.build().expect("trace is valid").to_json();
 
     let mut client =
         NetClient::connect_with_timeout(addr, Duration::from_secs(30)).expect("connect");

@@ -38,7 +38,7 @@ impl Lcg {
 
 fn figure1_json() -> String {
     let (trace, _) = fixtures::figure1();
-    trace.to_value().pretty()
+    trace.to_json()
 }
 
 fn status_of(doc: &str) -> String {

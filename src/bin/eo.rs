@@ -728,7 +728,7 @@ fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a Stri
 
 fn lint(args: &[String]) -> ExitCode {
     use eo_lint::{lint_program, lint_trace, LintOptions, LintReport, Severity};
-    use eo_model::json::Value;
+    use eo_obs::json::Value;
 
     let json = args.iter().any(|a| a == "--json");
     let deny = match args.iter().position(|a| a == "--deny") {
@@ -882,16 +882,16 @@ fn lint(args: &[String]) -> ExitCode {
         let files: Vec<Value> = reports
             .iter()
             .map(|(path, report)| {
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("path".to_string(), Value::Str((*path).clone())),
                     ("report".to_string(), report.to_json()),
                 ])
             })
             .collect();
         let count = |sev| -> i64 { reports.iter().map(|(_, r)| r.count(sev) as i64).sum() };
-        let doc = Value::Object(vec![
+        let doc = Value::Obj(vec![
             ("schema_version".to_string(), Value::Int(SCHEMA_VERSION)),
-            ("files".to_string(), Value::Array(files)),
+            ("files".to_string(), Value::Arr(files)),
             ("errors".to_string(), Value::Int(count(Severity::Error))),
             ("warnings".to_string(), Value::Int(count(Severity::Warning))),
             ("infos".to_string(), Value::Int(count(Severity::Info))),
@@ -928,7 +928,7 @@ fn lint(args: &[String]) -> ExitCode {
 }
 
 fn mhp(args: &[String]) -> ExitCode {
-    use eo_model::json::Value;
+    use eo_obs::json::Value;
 
     let json = args.iter().any(|a| a == "--json");
     let obs = match str_flag(args, "--metrics-out") {
@@ -1004,13 +1004,13 @@ fn mhp(args: &[String]) -> ExitCode {
     let loc = |s: eo_mhp::StmtId| analysis.stmts()[s.index()].location.clone();
 
     if json {
-        let doc = Value::Object(vec![
+        let doc = Value::Obj(vec![
             ("schema_version".to_string(), Value::Int(SCHEMA_VERSION)),
             ("stmts".to_string(), Value::Int(n as i64)),
             ("rounds".to_string(), Value::Int(analysis.rounds() as i64)),
             (
                 "unreachable".to_string(),
-                Value::Array(
+                Value::Arr(
                     unreachable
                         .iter()
                         .map(|s| Value::Int(s.index() as i64))
@@ -1019,7 +1019,7 @@ fn mhp(args: &[String]) -> ExitCode {
             ),
             (
                 "pairs".to_string(),
-                Value::Object(vec![
+                Value::Obj(vec![
                     ("never_concurrent".to_string(), Value::Int(never)),
                     ("may_be_concurrent".to_string(), Value::Int(may)),
                     ("unreachable".to_string(), Value::Int(unreachable_pairs)),
@@ -1027,11 +1027,11 @@ fn mhp(args: &[String]) -> ExitCode {
             ),
             (
                 "may_races".to_string(),
-                Value::Array(
+                Value::Arr(
                     races
                         .iter()
                         .map(|r| {
-                            Value::Object(vec![
+                            Value::Obj(vec![
                                 ("first".to_string(), Value::Int(r.first.index() as i64)),
                                 ("second".to_string(), Value::Int(r.second.index() as i64)),
                                 ("first_loc".to_string(), Value::Str(loc(r.first))),

@@ -29,6 +29,9 @@ fn golden_figure1_round_trips_bit_exactly() {
     let reserialized = trace.to_json();
     let reparsed = Trace::from_json(&reserialized).unwrap();
     assert_eq!(trace, reparsed);
+    assert_eq!(format!("{reserialized}\n"), GOLDEN);
+    let (fixture, _ids) = eo_model::fixtures::figure1();
+    assert_eq!(format!("{}\n", fixture.to_json()), GOLDEN);
 }
 
 #[test]
