@@ -8,16 +8,19 @@
 //! differential-fuzz lane.
 //!
 //! The encoding itself lives in [`eo_sym::PoEncoding`]: one Boolean
-//! variable per unordered event pair, transitivity over all triples, unit
-//! facts for →T and (mode permitting) →D, a token matching per semaphore,
-//! and trigger variables for event-variable causality. This module owns
-//! the *engine-facing* plumbing:
+//! variable per unordered event pair, unit facts for the transitive
+//! closure of →T and (mode permitting) →D, two "no 3-cycle" clauses per
+//! triple the base order leaves open, a token matching per semaphore, and
+//! trigger variables for event-variable causality. This module owns the
+//! *engine-facing* plumbing:
 //!
 //! * [`SatSession`] — a long-lived query session over one encoding. Every
 //!   query is one (CCW: up to two) incremental `solve_assuming` call
 //!   against the shared CDCL solver, so conflict clauses learned by one
-//!   query prune the next. This is the `--backend sat` path of `eo serve`
-//!   and the subject of experiment E19.
+//!   query prune the next, and the schedules the solves find are kept:
+//!   a CHB or MHB question one of them already answers costs no solve.
+//!   This is the `--backend sat` path of `eo serve` and the subject of
+//!   experiment E19.
 //! * the one-shot [`chb_via_sat`] / [`mhb_via_sat`] free functions and
 //!   their budgeted variants, which build a fresh encoding per call —
 //!   the historical cross-validation surface, kept verbatim.
@@ -42,7 +45,9 @@ use eo_sym::{PoEncoding, SymOutcome};
 /// one incremental solve under assumptions. Learned clauses persist
 /// across queries — a batch against one session shares all refutation
 /// work, which is where the symbolic backend beats per-query-fresh
-/// solving (experiment E19 quantifies the gap).
+/// solving (experiment E19 quantifies the gap). So do the schedules the
+/// solves decode: a before-query that one of them answers skips the
+/// solver.
 ///
 /// Answers are exact and agree with the witness-search engine
 /// ([`crate::queries`]) on every query; the differential suites pin this.
@@ -52,7 +57,19 @@ pub struct SatSession {
     /// Solver counters already surfaced through `eo_obs`, so repeated
     /// queries against one incremental solver emit deltas, not totals.
     emitted: (u64, u64, u64),
+    /// Complete schedules the solves have decoded, overlap models
+    /// included (before truncation). One is kept only if it runs some
+    /// pair in an order no kept schedule does, so a long-lived session
+    /// keeps at most one per ordered pair.
+    schedules: Vec<Vec<EventId>>,
+    /// For the ordered pair `(a, b)`, at `a * n + b`: the index of a kept
+    /// schedule running `a` before `b`, or `NO_SCHEDULE`. A CHB question
+    /// with an entry here needs no solve.
+    runs_before: Vec<u32>,
 }
+
+/// The `runs_before` entry of a pair no kept schedule runs in that order.
+const NO_SCHEDULE: u32 = u32::MAX;
 
 impl SatSession {
     /// Opens an unbudgeted session for `ctx`'s execution (and feasibility
@@ -66,10 +83,13 @@ impl SatSession {
         eo_obs::span!("sat.encode");
         let enc = PoEncoding::with_dependence(ctx.exec().trace(), &ctx.effective_dependence());
         eo_obs::counter!("sat.clauses", enc.core_clause_count() as u64);
+        let n = enc.n_events();
         SatSession {
             enc,
             budget,
             emitted: (0, 0, 0),
+            schedules: Vec::new(),
+            runs_before: vec![NO_SCHEDULE; n * n],
         }
     }
 
@@ -85,13 +105,13 @@ impl SatSession {
         &self.enc
     }
 
-    /// Runs one solve under the session budget, mapping `Interrupted` to
-    /// the budget's error and surfacing solver-counter deltas.
+    /// Runs one solve under the session budget (the caller has already
+    /// checked it once), mapping `Interrupted` to the budget's error,
+    /// surfacing solver-counter deltas, and keeping the decoded schedule.
     fn solve(
         &mut self,
         run: impl FnOnce(&mut PoEncoding, &mut dyn FnMut(u64) -> bool) -> SymOutcome,
-    ) -> Result<Option<Vec<bool>>, EngineError> {
-        self.budget.check(0)?;
+    ) -> Result<Option<Vec<EventId>>, EngineError> {
         let mut stop_err: Option<EngineError> = None;
         let outcome = {
             let budget = &self.budget;
@@ -106,9 +126,33 @@ impl SatSession {
         };
         self.surface_metrics();
         match outcome {
-            SymOutcome::Sat(model) => Ok(Some(model)),
+            SymOutcome::Sat(model) => {
+                let schedule = self.enc.decode_schedule(&model);
+                self.keep(&schedule);
+                Ok(Some(schedule))
+            }
             SymOutcome::Unsat => Ok(None),
             SymOutcome::Interrupted => Err(stop_err.unwrap_or(EngineError::Cancelled)),
+        }
+    }
+
+    /// Keeps `schedule` if it runs some pair in an order no kept schedule
+    /// does, and indexes it under every such pair.
+    fn keep(&mut self, schedule: &[EventId]) {
+        let n = schedule.len();
+        let index = self.schedules.len() as u32;
+        let mut orders_a_new_pair = false;
+        for (i, a) in schedule.iter().enumerate() {
+            for b in &schedule[i + 1..] {
+                let entry = &mut self.runs_before[a.index() * n + b.index()];
+                if *entry == NO_SCHEDULE {
+                    *entry = index;
+                    orders_a_new_pair = true;
+                }
+            }
+        }
+        if orders_a_new_pair {
+            self.schedules.push(schedule.to_vec());
         }
     }
 
@@ -125,7 +169,9 @@ impl SatSession {
 
     /// A complete feasible schedule running `first` strictly before
     /// `second`, or `None` when every feasible execution orders them the
-    /// other way. One incremental solve.
+    /// other way. A schedule an earlier solve of this session found is
+    /// returned when one runs `first` first; otherwise one incremental
+    /// solve.
     ///
     /// # Panics
     /// Panics if `first == second`.
@@ -135,8 +181,12 @@ impl SatSession {
         second: EventId,
     ) -> Result<Option<Vec<EventId>>, EngineError> {
         assert_ne!(first, second, "witness queries need two distinct events");
-        let model = self.solve(|enc, stop| enc.solve_before(first, second, stop))?;
-        Ok(model.map(|m| self.enc.decode_schedule(&m)))
+        self.budget.check(0)?;
+        let kept = self.runs_before[first.index() * self.enc.n_events() + second.index()];
+        if kept != NO_SCHEDULE {
+            return Ok(Some(self.schedules[kept as usize].clone()));
+        }
+        self.solve(|enc, stop| enc.solve_before(first, second, stop))
     }
 
     /// A feasible schedule prefix reaching a state where `a` and `b` are
@@ -151,12 +201,12 @@ impl SatSession {
         b: EventId,
     ) -> Result<Option<Vec<EventId>>, EngineError> {
         assert_ne!(a, b, "witness queries need two distinct events");
-        let model = self.solve(|enc, stop| enc.solve_overlap(a, b, stop))?;
-        Ok(model.map(|m| {
+        self.budget.check(0)?;
+        let schedule = self.solve(|enc, stop| enc.solve_overlap(a, b, stop))?;
+        Ok(schedule.map(|mut schedule| {
             // The model schedules the pair back to back with both enabled
             // at the state just before; the witness is the prefix up to
             // that state, matching the search engine's contract.
-            let mut schedule = self.enc.decode_schedule(&m);
             let overlap_at = schedule
                 .iter()
                 .position(|&e| e == a || e == b)
@@ -426,8 +476,72 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
         let session = SatSession::new(&ctx);
-        // 4 events: C(4,3)·3 = 12 ordered transitivity clauses + base + sync.
-        assert!(session.encoding().core_clause_count() >= 12);
+        // 4 events, 2 base units (one per process). Each of the C(4,3) = 4
+        // triples has exactly one base-ordered pair, which satisfies one
+        // of its two cycle clauses and shortens the other to two literals.
+        // The token matching adds 2 units: the P's only source serves it,
+        // so V before P.
+        assert_eq!(session.encoding().core_clause_count(), 2 + 4 + 2);
+    }
+
+    /// The solver's work counters, to tell a solve from a kept answer.
+    fn work(session: &SatSession) -> (u64, u64) {
+        let s = session.encoding().solver();
+        (s.decisions, s.propagations)
+    }
+
+    #[test]
+    fn kept_schedules_answer_before_queries_without_a_solve() {
+        let (trace, a, b) = fixtures::crossing();
+        let exec = trace.to_execution().unwrap();
+        let ctx = ctx_of(&exec);
+        let replays = |w: &[EventId], first: EventId, second: EventId| {
+            let pos = |e: EventId| w.iter().position(|&x| x == e).unwrap();
+            ctx.machine().replay(w).is_ok() && pos(first) < pos(second)
+        };
+        let mut session = SatSession::new(&ctx);
+        let found = session.try_witness_before(a, b).unwrap().expect("a first");
+        assert!(replays(&found, a, b));
+
+        // The kept schedule orders its first event before its last one:
+        // that question is answered from it, and the solver does nothing.
+        let (p, q) = (found[0], found[found.len() - 1]);
+        let before = work(&session);
+        let reused = session.try_witness_before(p, q).unwrap().expect("kept");
+        assert_eq!(work(&session), before, "a kept schedule needs no solve");
+        assert_eq!(reused, found);
+        assert!(replays(&reused, p, q));
+
+        // No kept schedule runs b first, so that question is solved.
+        let before = work(&session);
+        let solved = session.try_witness_before(b, a).unwrap().expect("b first");
+        assert_ne!(work(&session), before, "an unanswered pair runs a solve");
+        assert!(replays(&solved, b, a));
+        let before = work(&session);
+        assert!(!session.try_must_happen_before(a, b).unwrap());
+        assert_eq!(work(&session), before, "MHB reads the kept schedules too");
+
+        // Overlap models are kept before truncation: the complete schedule
+        // behind an overlap witness answers one of the two orientations.
+        let (trace, x, y) = fixtures::independent_pair();
+        let exec = trace.to_execution().unwrap();
+        let ctx = ctx_of(&exec);
+        let mut session = SatSession::new(&ctx);
+        assert!(session.try_witness_overlap(x, y).unwrap().is_some());
+        let mut solves = 0;
+        for (p, q) in [(x, y), (y, x)] {
+            let before = work(&session);
+            assert!(session.try_could_happen_before(p, q).unwrap());
+            solves += usize::from(work(&session) != before);
+        }
+        assert_eq!(solves, 1, "the overlap model answers one orientation");
+
+        // Only a schedule that orders some pair anew is kept, so repeated
+        // queries do not grow the session.
+        for _ in 0..10 {
+            session.try_witness_overlap(x, y).unwrap();
+        }
+        assert_eq!(session.schedules.len(), 2, "one per orientation");
     }
 
     #[test]

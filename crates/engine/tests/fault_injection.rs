@@ -159,8 +159,9 @@ fn sat_session_cancellation_lands_mid_propagation() {
 
     // Checkpoints 1–2 are the session's entry check and the solver's
     // up-front stop poll; 3 lands on a poll *inside* the first unit
-    // propagation cascade (the encoding's base facts imply a cascade far
-    // longer than one poll interval), before any decision is made.
+    // propagation cascade (the encoding's base facts, one unit per pair
+    // of cl(base), are a level-0 cascade longer than one poll interval),
+    // before any decision is made.
     let mut session = SatSession::with_budget(&ctx, faulty(3, Fault::Cancel));
     assert_eq!(
         session.try_could_happen_before(a, b),

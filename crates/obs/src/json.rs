@@ -206,12 +206,21 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so the limit bounds its stack use on
+/// hostile input; the deepest committed document (a trace) nests 5
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document; trailing whitespace is allowed.
+/// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error at
+/// the first bracket past the limit.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -226,6 +235,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -270,11 +281,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            // Keep the literal in step with MAX_DEPTH (a test pins it).
+            return Err(self.err("arrays and objects nested deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {

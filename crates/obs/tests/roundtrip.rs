@@ -141,6 +141,37 @@ fn json_long_strings_parse_in_linear_time() {
 }
 
 #[test]
+fn json_nesting_is_bounded_at_max_depth() {
+    let nest = |depth: usize, open: &str, close: &str| {
+        format!("{}{}", open.repeat(depth), close.repeat(depth))
+    };
+    // Exactly the limit parses, arrays and objects alike.
+    let deepest = json::parse(&nest(json::MAX_DEPTH, "[", "]")).expect("at the limit");
+    let mut v = &deepest;
+    for _ in 1..json::MAX_DEPTH {
+        v = &v.as_array().expect("nested array")[0];
+    }
+    assert_eq!(v, &Value::Arr(vec![]));
+    assert!(json::parse(&nest(json::MAX_DEPTH, r#"{"k":"#, "}").replace(":}", ":1}")).is_ok());
+
+    // One level more is an error at the bracket past the limit, naming it.
+    for (open, close) in [("[", "]"), (r#"{"k":"#, "}")] {
+        let doc = nest(json::MAX_DEPTH + 1, open, close);
+        let err = json::parse(&doc).expect_err("past the limit");
+        assert_eq!(err.offset, json::MAX_DEPTH * open.len(), "{open}");
+        assert!(
+            err.message.contains(&json::MAX_DEPTH.to_string()),
+            "{}",
+            err.message
+        );
+    }
+
+    // A megabyte of brackets is the same error, not a stack overflow.
+    let err = json::parse(&"[".repeat(1 << 20)).expect_err("hostile depth");
+    assert_eq!(err.offset, json::MAX_DEPTH);
+}
+
+#[test]
 fn json_string_runs_split_at_multibyte_characters_and_escapes() {
     let v = json::parse(r#""é\"ü\u00e9😀\ud83d\ude00€\\ñ\n""#).unwrap();
     assert_eq!(v.as_str(), Some("é\"üé😀😀€\\ñ\n"));

@@ -2,15 +2,15 @@
 //! assumptions.
 //!
 //! This is the production solver behind the symbolic ordering backend
-//! (ROADMAP item 1): two-watched-literal propagation, 1-UIP conflict
-//! analysis with clause learning, activity-based (VSIDS-style) branching
-//! with exponential decay, phase saving, Luby restarts, and learnt-clause
-//! database reduction. The piece the serve layer leans on is
-//! [`Solver::solve_assuming`]: assumptions are enqueued as pseudo-decision
-//! levels below the search proper, so every clause *learnt* during a call
-//! is derived by resolution from input clauses only and therefore remains
-//! a sound consequence of the formula when the next call arrives with
-//! different assumptions. One encoded formula plus one learned-clause
+//! (ROADMAP item 1): two-watched-literal propagation with blocking
+//! literals, 1-UIP conflict analysis with clause learning, activity-based
+//! (VSIDS-style) branching with exponential decay, phase saving, Luby
+//! restarts, and learnt-clause database reduction. The piece the serve
+//! layer leans on is [`Solver::solve_assuming`]: assumptions are enqueued
+//! as pseudo-decision levels below the search proper, so every clause
+//! *learnt* during a call is derived by resolution from input clauses
+//! only and therefore remains a sound consequence of the formula when the
+//! next call arrives with different assumptions. One encoded formula plus one learned-clause
 //! database can thus serve an entire batch of ordering queries.
 //!
 //! When a `solve_assuming` call returns [`SolveOutcome::Unsat`], the
@@ -36,6 +36,16 @@ struct ClauseData {
     learnt: bool,
     deleted: bool,
     activity: f64,
+}
+
+/// One watch-list entry: a clause watching the list's literal, plus a
+/// *blocker* — another literal of the clause. While the blocker is true
+/// the clause is satisfied, and propagation skips it without touching
+/// the clause's memory (MiniSat's blocking literals).
+#[derive(Clone, Copy)]
+struct Watcher {
+    cref: ClauseRef,
+    blocker: Lit,
 }
 
 /// Encodes a literal as a watch-list index: `2 * var + (negative ? 1 : 0)`.
@@ -87,8 +97,9 @@ pub struct Solver {
     n_vars: usize,
     /// Clause arena: problem clauses first, learnt clauses appended.
     clauses: Vec<ClauseData>,
-    /// For each literal code, the clauses currently watching that literal.
-    watches: Vec<Vec<ClauseRef>>,
+    /// For each literal code, the clauses currently watching that
+    /// literal, each with its blocker.
+    watches: Vec<Vec<Watcher>>,
     /// Per-variable assignment (`None` = unassigned).
     assign: Vec<Option<bool>>,
     /// Decision level at which each variable was assigned.
@@ -117,6 +128,9 @@ pub struct Solver {
     max_learnts: usize,
     /// Live (non-deleted) learnt clause count.
     n_learnts: usize,
+    /// Problem clauses kept by `add_clause`: stored clauses plus the unit
+    /// facts it fixed at level 0.
+    n_problem: usize,
     /// Assumptions that refuted the last Unsat `solve_assuming` call
     /// (empty when the formula is unsatisfiable on its own).
     core: Vec<Lit>,
@@ -169,6 +183,7 @@ impl Solver {
             ok: true,
             max_learnts: 0,
             n_learnts: 0,
+            n_problem: 0,
             core: Vec::new(),
             nodes_visited: 0,
             decisions: 0,
@@ -204,6 +219,13 @@ impl Solver {
         self.n_learnts
     }
 
+    /// Problem clauses [`Solver::add_clause`] has kept: every stored
+    /// clause plus every unit it fixed at level 0. Clauses it dropped as
+    /// satisfied, tautological or duplicate units are not counted.
+    pub fn num_clauses(&self) -> usize {
+        self.n_problem
+    }
+
     /// Adds a clause to the formula (permanently — it participates in all
     /// later `solve*` calls). Must be called between solves, not during
     /// one. Returns `false` if the formula is now unsatisfiable regardless
@@ -220,22 +242,25 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Simplify against the level-0 assignment: drop false literals,
-        // skip satisfied clauses and tautologies, deduplicate.
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
             assert!(l.var.index() < self.n_vars, "literal over unknown variable");
-            match self.value(l) {
-                Some(true) => return true,
-                Some(false) => continue,
-                None => {
-                    if simplified.contains(&l.negated()) {
-                        return true; // tautology
-                    }
-                    if !simplified.contains(&l) {
-                        simplified.push(l);
-                    }
-                }
+        }
+        // Simplify against the level-0 assignment: skip satisfied clauses
+        // (before allocating anything) and tautologies, drop false
+        // literals, deduplicate.
+        if lits.iter().any(|&l| self.value(l) == Some(true)) {
+            return true;
+        }
+        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
+        for &l in lits {
+            if self.value(l).is_some() {
+                continue; // false: a true literal returned above
+            }
+            if simplified.contains(&l.negated()) {
+                return true; // tautology
+            }
+            if !simplified.contains(&l) {
+                simplified.push(l);
             }
         }
         match simplified.len() {
@@ -248,10 +273,12 @@ impl Solver {
                 // the next solve, which keeps even a level-0 unit cascade
                 // under the stop callback's control.
                 self.unchecked_enqueue(simplified[0], None);
+                self.n_problem += 1;
                 true
             }
             _ => {
                 self.attach_clause(simplified, false);
+                self.n_problem += 1;
                 true
             }
         }
@@ -413,8 +440,14 @@ impl Solver {
     fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len();
-        self.watches[code(lits[0])].push(cref);
-        self.watches[code(lits[1])].push(cref);
+        self.watches[code(lits[0])].push(Watcher {
+            cref,
+            blocker: lits[1],
+        });
+        self.watches[code(lits[1])].push(Watcher {
+            cref,
+            blocker: lits[0],
+        });
         if learnt {
             self.n_learnts += 1;
         }
@@ -478,7 +511,11 @@ impl Solver {
             let mut i = 0;
             let mut conflict: Option<ClauseRef> = None;
             'clauses: while i < ws.len() {
-                let cref = ws[i];
+                let Watcher { cref, blocker } = ws[i];
+                if self.value(blocker) == Some(true) {
+                    i += 1;
+                    continue;
+                }
                 let clause = &mut self.clauses[cref];
                 if clause.deleted {
                     ws.swap_remove(i);
@@ -491,6 +528,8 @@ impl Solver {
                 debug_assert_eq!(clause.lits[1], false_lit);
                 let first = clause.lits[0];
                 if self.assign[first.var.index()].map(|v| first.satisfied_by(v)) == Some(true) {
+                    // Satisfied through the other watch: block on it next time.
+                    ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
@@ -500,7 +539,10 @@ impl Solver {
                     if self.assign[l.var.index()].map(|v| l.satisfied_by(v)) != Some(false) {
                         clause.lits.swap(1, k);
                         let new_watch = clause.lits[1];
-                        self.watches[code(new_watch)].push(cref);
+                        self.watches[code(new_watch)].push(Watcher {
+                            cref,
+                            blocker: first,
+                        });
                         ws.swap_remove(i);
                         continue 'clauses;
                     }
@@ -738,8 +780,8 @@ impl Solver {
             let c = &self.clauses[cref];
             (code(c.lits[0]), code(c.lits[1]))
         };
-        self.watches[w0].retain(|&c| c != cref);
-        self.watches[w1].retain(|&c| c != cref);
+        self.watches[w0].retain(|w| w.cref != cref);
+        self.watches[w1].retain(|w| w.cref != cref);
         let c = &mut self.clauses[cref];
         c.deleted = true;
         c.lits.clear();
@@ -941,6 +983,24 @@ mod tests {
             s.solve_assuming(&[], &mut never),
             SolveOutcome::Unsat
         ));
+    }
+
+    #[test]
+    fn add_clause_keeps_only_what_level_0_leaves_open() {
+        let mut s = Solver::with_vars(3);
+        assert!(s.add_clause(&[Lit::pos(Var(0))]));
+        // Satisfied by the unit: dropped.
+        assert!(s.add_clause(&[Lit::pos(Var(0)), Lit::pos(Var(1))]));
+        // A tautology: dropped.
+        assert!(s.add_clause(&[Lit::pos(Var(1)), Lit::neg(Var(1))]));
+        assert_eq!(s.num_clauses(), 1, "only the unit is kept so far");
+        // Shortened by the unit to the binary (x1 ∨ x2): kept.
+        assert!(s.add_clause(&[Lit::neg(Var(0)), Lit::pos(Var(1)), Lit::pos(Var(2))]));
+        assert_eq!(s.num_clauses(), 2);
+        match s.solve_assuming(&[Lit::neg(Var(1))], &mut never) {
+            SolveOutcome::Sat(m) => assert!(m[0] && !m[1] && m[2]),
+            o => panic!("expected Sat, got {o:?}"),
+        }
     }
 
     #[test]

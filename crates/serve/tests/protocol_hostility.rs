@@ -121,6 +121,88 @@ fn the_batch_path_answers_every_hostile_line_with_one_positioned_error() {
     );
 }
 
+/// A megabyte of `[`, 8,192 times `json::MAX_DEPTH`: a parser without a
+/// nesting limit overflows its stack on it.
+fn bracket_bomb() -> String {
+    "[".repeat(1 << 20)
+}
+
+fn error_message(doc: &str) -> String {
+    json::parse(doc)
+        .expect("response is valid JSON")
+        .get("error")
+        .and_then(Value::as_str)
+        .expect("error responses carry a message")
+        .to_owned()
+}
+
+#[test]
+fn a_megabyte_line_of_open_brackets_costs_one_positioned_error() {
+    let (trace, _) = fixtures::figure1();
+    let exec = trace.to_execution().expect("fixture is valid");
+    let query = r#"{"id": 1, "op": "mhb", "a": 0, "b": 1}"#;
+    let config = ServeConfig {
+        threads: 1,
+        ..Default::default()
+    };
+
+    // Mid-stream: one error at the bomb's line; the queries around it are
+    // still answered.
+    let input = format!("{query}\n{}\n{query}", bracket_bomb());
+    let outcome = serve_batch(&exec, &input, &config);
+    let statuses: Vec<String> = outcome.responses.iter().map(|r| status_of(r)).collect();
+    assert_eq!(statuses, ["exact", "error", "exact"]);
+    let bomb = json::parse(&outcome.responses[1]).expect("valid JSON");
+    assert_eq!(bomb.get("line").and_then(Value::as_i64), Some(2));
+    let depth = json::MAX_DEPTH.to_string();
+    assert!(
+        error_message(&outcome.responses[1]).contains(&depth),
+        "the error names the nesting limit: {}",
+        outcome.responses[1]
+    );
+
+    // As the whole input it reads as a JSON-array batch: one error, line 1.
+    let outcome = serve_batch(&exec, &bracket_bomb(), &config);
+    assert_eq!(outcome.responses.len(), 1);
+    assert_eq!(status_of(&outcome.responses[0]), "error");
+    let doc = json::parse(&outcome.responses[0]).expect("valid JSON");
+    assert_eq!(doc.get("line").and_then(Value::as_i64), Some(1));
+    assert!(error_message(&outcome.responses[0]).contains(&depth));
+}
+
+#[test]
+fn a_megabyte_frame_of_open_brackets_costs_one_error_reply() {
+    let config = ServerConfig {
+        max_frame: 2 << 20,
+        read_timeout: Duration::from_secs(5),
+        write_timeout: Duration::from_secs(5),
+        drain_deadline: Duration::from_secs(5),
+        ..Default::default()
+    };
+    let (addr, handle, join) = start(config);
+    let mut client = NetClient::connect(addr).expect("connect");
+    let opened = client.open(&figure1_json()).expect("open");
+    assert_eq!(status_of(&opened), "ok");
+
+    let reply = client
+        .request(&bracket_bomb())
+        .expect("a reply to the bomb");
+    assert_eq!(status_of(&reply), "error");
+    assert!(
+        error_message(&reply).contains(&json::MAX_DEPTH.to_string()),
+        "the error names the nesting limit: {reply}"
+    );
+    let answer = client
+        .request(r#"{"id": "after", "op": "mhb", "a": 0, "b": 1}"#)
+        .expect("query after the bomb");
+    assert_eq!(status_of(&answer), "exact");
+
+    drop(client);
+    handle.drain();
+    let report = join.join().expect("server thread");
+    assert!(report.drained_clean);
+}
+
 fn start(
     config: ServerConfig,
 ) -> (

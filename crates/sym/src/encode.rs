@@ -5,11 +5,19 @@
 //! event pair (`o(a,b)` ⇔ "a executes before b", with `o(b,a) = ¬o(a,b)`
 //! by sign convention) plus:
 //!
-//! * **totality + transitivity** — `o(i,j) ∧ o(j,k) → o(i,k)` for all
-//!   distinct triples. A transitive tournament is exactly a strict total
-//!   order, so any model *is* a schedule;
-//! * **base constraints** — unit clauses for program order, fork/join
-//!   edges, and (in dependence-preserving mode) every →D pair;
+//! * **base facts** — a unit clause for every pair of `cl(base)`: program
+//!   order, fork/join edges and (in dependence-preserving mode) every →D
+//!   pair, closed transitively. They are asserted first, so the solver
+//!   simplifies every later clause against the whole base order;
+//! * **totality + transitivity** — totality is the sign convention; a
+//!   tournament is transitive iff it has no 3-cycle, so each unordered
+//!   triple `i < j < k` gets exactly two clauses, one per cyclic
+//!   orientation (`¬o(i,j) ∨ ¬o(j,k) ∨ ¬o(k,i)` and its mirror). A
+//!   transitive tournament is exactly a strict total order, so any model
+//!   *is* a schedule. The solver drops every clause a base fact satisfies
+//!   (a triple with two or more base-ordered pairs adds nothing, so a
+//!   single-process trace adds no transitivity clause at all) and
+//!   shortens the one a single base-ordered pair leaves to two literals;
 //! * **semaphore tokens** — a matching variable `m_{t,p}` for every P
 //!   event `p` and every token source `t` (a V event or one of the
 //!   semaphore's initial tokens): each P claims at least one source, each
@@ -73,9 +81,10 @@
 //! need no extra clauses: the model is a feasible schedule that fires `a`
 //! and `b` right there.
 //!
-//! The encoding is cubic in |E| (the transitivity clauses), so the
-//! symbolic backend wins on query-heavy workloads over modest traces —
-//! E19 measures the crossover against the enumerating engine.
+//! The transitivity clauses are cubic in |E| before the base facts prune
+//! them; only triples with at most one base-ordered pair keep any, so
+//! the encoding shrinks as the base order covers more of the trace.
+//! E19 measures the backend against the enumerating engine.
 
 use eo_model::{EventId, Op, Trace};
 use eo_relations::Relation;
@@ -111,7 +120,7 @@ pub struct PoEncoding {
     /// Lazily created activation literals for overlap queries, keyed by
     /// the ordered pair (first-to-fire, second-to-fire).
     overlap_acts: HashMap<(usize, usize), Lit>,
-    /// Clauses in the feasibility core (diagnostics).
+    /// Clauses the solver kept of the feasibility core (diagnostics).
     core_clauses: usize,
 }
 
@@ -125,35 +134,34 @@ impl PoEncoding {
         let n = trace.n_events();
         let n_pairs = n * n.saturating_sub(1) / 2;
         let mut solver = Solver::with_vars(n_pairs);
-        let mut clauses = 0usize;
 
         let before = |a: usize, b: usize| before_lit(n, a, b);
 
-        // Totality is implicit (o or ¬o); transitivity over all distinct
-        // ordered triples: o(i,j) ∧ o(j,k) → o(i,k).
-        for i in 0..n {
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                for k in 0..n {
-                    if k == i || k == j {
-                        continue;
-                    }
-                    solver.add_clause(&[
-                        before(i, j).negated(),
-                        before(j, k).negated(),
-                        before(i, k),
-                    ]);
-                    clauses += 1;
-                }
+        // Base facts first, so every later clause is simplified against
+        // the whole base order.
+        let base = eo_model::induce::base_edges(trace, d).transitive_closure();
+        for (a, b) in base.pairs() {
+            // A cyclic base also puts (a, a) in its closure; its (a, b) and
+            // (b, a) units already make the encoding unsatisfiable.
+            if a != b {
+                solver.add_clause(&[before(a, b)]);
             }
         }
 
-        // Base constraints: program order, fork/join, dependences.
-        for (a, b) in eo_model::induce::base_edges(trace, d).pairs() {
-            solver.add_clause(&[before(a, b)]);
-            clauses += 1;
+        // Totality is implicit (o or ¬o); transitivity is "no 3-cycle":
+        // one clause per cyclic orientation of each unordered triple.
+        for i in 0..n {
+            for j in (i + 1)..n {
+                for k in (j + 1)..n {
+                    for (x, y, z) in [(i, j, k), (i, k, j)] {
+                        solver.add_clause(&[
+                            before(x, y).negated(),
+                            before(y, z).negated(),
+                            before(z, x).negated(),
+                        ]);
+                    }
+                }
+            }
         }
 
         // Semaphore token matching.
@@ -192,12 +200,10 @@ impl PoEncoding {
                 // At least one source per P.
                 let at_least: Vec<Lit> = m.iter().map(|row| Lit::pos(row[pi])).collect();
                 solver.add_clause(&at_least);
-                clauses += 1;
                 // Claiming a V implies running after it.
                 for (src, source) in sources.iter().enumerate() {
                     if let Some(v) = *source {
                         solver.add_clause(&[Lit::neg(m[src][pi]), before(v, p)]);
-                        clauses += 1;
                     }
                 }
                 sem_claims.insert(
@@ -214,7 +220,6 @@ impl PoEncoding {
                 for pi in 0..ps.len() {
                     for pj in (pi + 1)..ps.len() {
                         solver.add_clause(&[Lit::neg(row[pi]), Lit::neg(row[pj])]);
-                        clauses += 1;
                     }
                 }
             }
@@ -255,18 +260,15 @@ impl PoEncoding {
                 // Some trigger explains the Wait.
                 let some: Vec<Lit> = triggers.iter().map(|&(t, _)| Lit::pos(t)).collect();
                 solver.add_clause(&some);
-                clauses += 1;
                 for &(t, post) in &triggers {
                     match post {
                         Some(p) => {
                             // Triggering post precedes the wait…
                             solver.add_clause(&[Lit::neg(t), before(p, w)]);
-                            clauses += 1;
                             // …and no Clear sits between: each is before
                             // the post or after the wait.
                             for &c in &clears {
                                 solver.add_clause(&[Lit::neg(t), before(c, p), before(w, c)]);
-                                clauses += 1;
                             }
                         }
                         None => {
@@ -274,7 +276,6 @@ impl PoEncoding {
                             // is after the wait.
                             for &c in &clears {
                                 solver.add_clause(&[Lit::neg(t), before(w, c)]);
-                                clauses += 1;
                             }
                         }
                     }
@@ -318,7 +319,8 @@ impl PoEncoding {
             d_preds[b].push(a);
         }
 
-        eo_obs::counter!("sym.clauses", clauses as u64);
+        let core_clauses = solver.num_clauses();
+        eo_obs::counter!("sym.clauses", core_clauses as u64);
         PoEncoding {
             n,
             solver,
@@ -329,7 +331,7 @@ impl PoEncoding {
             join_gates,
             d_preds,
             overlap_acts: HashMap::new(),
-            core_clauses: clauses,
+            core_clauses,
         }
     }
 
@@ -367,7 +369,9 @@ impl PoEncoding {
         self.n
     }
 
-    /// Number of clauses in the feasibility core (diagnostics).
+    /// Number of clauses the solver kept of the feasibility core: its
+    /// level-0 units plus its stored clauses. Clauses dropped as already
+    /// satisfied are not counted (diagnostics).
     pub fn core_clause_count(&self) -> usize {
         self.core_clauses
     }
@@ -593,6 +597,58 @@ mod tests {
                 assert_eq!(f, c, "compat verdict diverges on ({a}, {b})");
             }
         }
+    }
+
+    #[test]
+    fn a_single_process_trace_needs_no_transitivity_clause() {
+        // Program order is total, so cl(base) orders every pair: the
+        // encoding is one unit per pair and nothing else.
+        let mut tb = eo_model::TraceBuilder::new();
+        let p = tb.process("main");
+        let x = tb.variable("x");
+        tb.write(p, x, "x:=1");
+        tb.compute(p, "work");
+        tb.read(p, x, "if x");
+        tb.compute(p, "more");
+        tb.write(p, x, "x:=2");
+        let trace = tb.build().unwrap();
+        let n = trace.n_events();
+        let mut enc = encoding_of(&trace);
+        assert_eq!(enc.core_clause_count(), n * (n - 1) / 2);
+        let last = eo_model::EventId::new(n - 1);
+        let first = eo_model::EventId::new(0);
+        assert!(matches!(
+            enc.solve_before(last, first, &mut never),
+            SymOutcome::Unsat
+        ));
+        assert_eq!(enc.solver().decisions, 0, "the units decide everything");
+    }
+
+    #[test]
+    fn each_open_triple_keeps_one_clause_per_cyclic_orientation() {
+        // A synchronization-free trace, so its core is the base units plus
+        // transitivity: p0 = a0; a1, p1 = b0; b1, p2 = c. A triple keeps
+        // both cycle clauses while no pair of it is base-ordered (the 4
+        // triples a_i, b_j, c), one shortened clause while exactly one is
+        // (the other 6), and none once two are.
+        let mut tb = eo_model::TraceBuilder::new();
+        for (name, events) in [("p0", 2), ("p1", 2), ("p2", 1)] {
+            let p = tb.process(name);
+            for k in 0..events {
+                tb.compute(p, &format!("{name}.{k}"));
+            }
+        }
+        let trace = tb.build().unwrap();
+        let enc = encoding_of(&trace);
+        assert_eq!(enc.core_clause_count(), 2 + 4 * 2 + 6);
+
+        // On the fork/join diamond the base order prunes every triple:
+        // its only unordered pair is the two children, and any third
+        // event is ordered with both, so the core is the units alone.
+        let (trace, _) = fixtures::fork_join_diamond();
+        let exec = trace.to_execution().unwrap();
+        let cl = eo_model::induce::base_edges(exec.trace(), exec.d()).transitive_closure();
+        assert_eq!(encoding_of(&trace).core_clause_count(), cl.pairs().count());
     }
 
     #[test]
