@@ -8,7 +8,15 @@
 //! * **exact** — the witness-search engine ([`eo_engine::QuerySession`]),
 //!   the reference semantics;
 //! * **sat** — the symbolic CNF backend ([`eo_engine::SatSession`]),
-//!   which must be bit-identical on every decided MHB/CHB/CCW instance;
+//!   which must be bit-identical on every decided MHB/CHB/CCW instance,
+//!   and whose every witness must pass the replay checkers
+//!   ([`SearchCtx::check_witness_before`],
+//!   [`SearchCtx::check_witness_overlap`]) — kept, spliced and solved
+//!   answers alike;
+//! * **cnf** — a second, fresh [`eo_sym::PoEncoding`] asked every CHB and
+//!   CCW pair directly, so the encoding stays cross-validated even though
+//!   the session answers most satisfiable queries from kept schedules;
+//!   its decoded witnesses are replay-checked too;
 //! * **HMW/EGP** — the polynomial approximations, which are one-sided:
 //!   a guaranteed ordering must be confirmed by exact MHB (soundness);
 //!   disagreement the other way is expected imprecision, not a bug.
@@ -32,6 +40,7 @@ use eo_approx::{SafeOrderings, TaskGraph};
 use eo_engine::{FeasibilityMode, QuerySession, SatSession, SearchCtx};
 use eo_lang::generator::{generate_trace, SyncStyle, WorkloadSpec};
 use eo_model::{fixtures, EventId, ProgramExecution, Trace};
+use eo_sym::{PoEncoding, SymOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
@@ -45,7 +54,8 @@ struct CorpusItem {
     spec: Option<WorkloadSpec>,
 }
 
-/// One backend disagreement on one pair.
+/// One backend disagreement on one pair, or a witness the replay
+/// checker rejects (then `detail` says why).
 #[derive(Debug)]
 struct Divergence {
     kind: &'static str,
@@ -53,6 +63,32 @@ struct Divergence {
     b: usize,
     exact: bool,
     other: bool,
+    detail: Option<String>,
+}
+
+impl Divergence {
+    fn decision(kind: &'static str, a: usize, b: usize, exact: bool, other: bool) -> Self {
+        Divergence {
+            kind,
+            a,
+            b,
+            exact,
+            other,
+            detail: None,
+        }
+    }
+
+    /// A witness that fails its checker: the backend answered "yes".
+    fn witness(kind: &'static str, a: usize, b: usize, detail: String) -> Self {
+        Divergence {
+            kind,
+            a,
+            b,
+            exact: true,
+            other: true,
+            detail: Some(detail),
+        }
+    }
 }
 
 fn exec_of(trace: &Trace) -> ProgramExecution {
@@ -63,7 +99,8 @@ fn exec_of(trace: &Trace) -> ProgramExecution {
 }
 
 /// Sweeps every pair of `trace` under `mode` and returns the first
-/// disagreement between the exact engine and the SAT backend, or an
+/// disagreement between the exact engine and the SAT session or a fresh
+/// encoding, the first SAT witness that fails its replay checker, or an
 /// HMW/EGP guarantee the exact engine refutes (an approximation
 /// soundness bug).
 fn first_divergence(trace: &Trace, mode: FeasibilityMode) -> Option<Divergence> {
@@ -71,6 +108,7 @@ fn first_divergence(trace: &Trace, mode: FeasibilityMode) -> Option<Divergence> 
     let ctx = SearchCtx::new(&exec, mode);
     let mut exact = QuerySession::new(&ctx);
     let mut sat = SatSession::new(&ctx);
+    let mut cnf = PoEncoding::with_dependence(exec.trace(), &ctx.effective_dependence());
     let n = exec.n_events();
 
     let mut guarantee = SafeOrderings::compute(&exec).relation().clone();
@@ -85,47 +123,65 @@ fn first_divergence(trace: &Trace, mode: FeasibilityMode) -> Option<Divergence> 
             let (ea, eb) = (EventId::new(a), EventId::new(b));
             let mhb = exact.must_happen_before(ea, eb);
             let chb = exact.could_happen_before(ea, eb);
-            let sat_mhb = sat.try_must_happen_before(ea, eb).expect("unbudgeted");
-            let sat_chb = sat.try_could_happen_before(ea, eb).expect("unbudgeted");
+            let sat_mhb = sat
+                .try_must_happen_before(&ctx, ea, eb)
+                .expect("unbudgeted");
             if sat_mhb != mhb {
-                return Some(Divergence {
-                    kind: "mhb:exact-vs-sat",
-                    a,
-                    b,
-                    exact: mhb,
-                    other: sat_mhb,
-                });
+                return Some(Divergence::decision("mhb:exact-vs-sat", a, b, mhb, sat_mhb));
             }
-            if sat_chb != chb {
-                return Some(Divergence {
-                    kind: "chb:exact-vs-sat",
-                    a,
-                    b,
-                    exact: chb,
-                    other: sat_chb,
-                });
+            let sat_before = sat.try_witness_before(&ctx, ea, eb).expect("unbudgeted");
+            if sat_before.is_some() != chb {
+                let other = sat_before.is_some();
+                return Some(Divergence::decision("chb:exact-vs-sat", a, b, chb, other));
+            }
+            if let Some(Err(e)) = sat_before.map(|w| ctx.check_witness_before(ea, eb, &w)) {
+                return Some(Divergence::witness("chb:sat-witness", a, b, e));
+            }
+            let cnf_before = match cnf.solve_before(ea, eb, &mut |_| false) {
+                SymOutcome::Sat(model) => Some(cnf.decode_schedule(&model)),
+                _ => None,
+            };
+            if cnf_before.is_some() != chb {
+                let other = cnf_before.is_some();
+                return Some(Divergence::decision("chb:exact-vs-cnf", a, b, chb, other));
+            }
+            if let Some(Err(e)) = cnf_before.map(|w| ctx.check_witness_before(ea, eb, &w)) {
+                return Some(Divergence::witness("chb:cnf-witness", a, b, e));
             }
             // HMW ∪ EGP soundness: a guaranteed order must be a must-order.
             if guarantee.contains(a, b) && !mhb {
-                return Some(Divergence {
-                    kind: "mhb:exact-vs-hmw-egp",
+                return Some(Divergence::decision(
+                    "mhb:exact-vs-hmw-egp",
                     a,
                     b,
-                    exact: mhb,
-                    other: true,
-                });
+                    mhb,
+                    true,
+                ));
             }
             if b > a {
                 let ccw = exact.could_be_concurrent(ea, eb);
-                let sat_ccw = sat.try_could_be_concurrent(ea, eb).expect("unbudgeted");
-                if sat_ccw != ccw {
-                    return Some(Divergence {
-                        kind: "ccw:exact-vs-sat",
-                        a,
-                        b,
-                        exact: ccw,
-                        other: sat_ccw,
-                    });
+                let sat_overlap = sat.try_witness_overlap(&ctx, ea, eb).expect("unbudgeted");
+                if sat_overlap.is_some() != ccw {
+                    let other = sat_overlap.is_some();
+                    return Some(Divergence::decision("ccw:exact-vs-sat", a, b, ccw, other));
+                }
+                if let Some(Err(e)) = sat_overlap.map(|w| ctx.check_witness_overlap(ea, eb, &w)) {
+                    return Some(Divergence::witness("ccw:sat-witness", a, b, e));
+                }
+                let cnf_overlap = match cnf.solve_overlap(ea, eb, &mut |_| false) {
+                    SymOutcome::Sat(model) => {
+                        let schedule = cnf.decode_schedule(&model);
+                        let at = schedule.iter().position(|&e| e == ea || e == eb);
+                        Some(schedule[..at.expect("a model runs every event")].to_vec())
+                    }
+                    _ => None,
+                };
+                if cnf_overlap.is_some() != ccw {
+                    let other = cnf_overlap.is_some();
+                    return Some(Divergence::decision("ccw:exact-vs-cnf", a, b, ccw, other));
+                }
+                if let Some(Err(e)) = cnf_overlap.map(|w| ctx.check_witness_overlap(ea, eb, &w)) {
+                    return Some(Divergence::witness("ccw:cnf-witness", a, b, e));
                 }
             }
         }
@@ -224,12 +280,14 @@ fn write_artifact(
     let doc = format!(
         "{{\n  \"label\": \"{label}\",\n  \"mode\": \"{mode:?}\",\n  \
          \"kind\": \"{}\",\n  \"pair\": [{}, {}],\n  \"exact\": {},\n  \
-         \"other\": {},\n  \"spec\": \"{spec_field}\",\n  \"trace\": {}\n}}\n",
+         \"other\": {},\n  \"detail\": \"{}\",\n  \"spec\": \"{spec_field}\",\n  \
+         \"trace\": {}\n}}\n",
         div.kind,
         div.a,
         div.b,
         div.exact,
         div.other,
+        div.detail.as_deref().unwrap_or("").replace('"', "'"),
         trace.to_json(),
     );
     std::fs::write(&path, doc)?;

@@ -1187,13 +1187,14 @@ fn main() {
                 ms(r.sat_batch_time),
                 ms(r.sat_fresh_time),
                 format!("{:.2}x", r.incremental_speedup()),
+                r.kept_schedules.to_string(),
                 if r.sat_wins { "sat" } else { "exact" }.into(),
             ]);
             json_rows.push(format!(
                 concat!(
                     "    {{\"workload\": \"{}\", \"events\": {}, \"queries\": {}, ",
                     "\"exact_ms\": {:.3}, \"sat_batch_ms\": {:.3}, \"sat_fresh_ms\": {:.3}, ",
-                    "\"incremental_speedup\": {:.2}, \"sat_wins\": {}}}"
+                    "\"incremental_speedup\": {:.2}, \"kept_schedules\": {}, \"sat_wins\": {}}}"
                 ),
                 r.workload,
                 r.events,
@@ -1202,6 +1203,7 @@ fn main() {
                 r.sat_batch_time.as_secs_f64() * 1e3,
                 r.sat_fresh_time.as_secs_f64() * 1e3,
                 r.incremental_speedup(),
+                r.kept_schedules,
                 r.sat_wins,
             ));
         }
@@ -1216,6 +1218,7 @@ fn main() {
                     "sat_batch_ms",
                     "sat_fresh_ms",
                     "incremental",
+                    "kept",
                     "winner"
                 ],
                 &rows

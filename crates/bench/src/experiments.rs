@@ -1749,6 +1749,9 @@ pub struct SatBenchRow {
     /// Best-of-3 wall time answering the batch with a FRESH SAT session
     /// per query (re-encode, empty clause DB every time).
     pub sat_fresh_time: Duration,
+    /// Complete schedules the incremental session kept by the end of the
+    /// batch (the observed order included).
+    pub kept_schedules: usize,
     /// Whether the symbolic batch beat the exact session on this
     /// workload. The sweep is ordered by state-space size, so the
     /// `false→true` transition is the enumeration↔symbolic crossover.
@@ -1832,9 +1835,9 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
             _ => s.could_be_concurrent(a, b),
         };
     let answer_sat = |s: &mut SatSession, (kind, a, b): (usize, EventId, EventId)| match kind {
-        0 => s.try_must_happen_before(a, b),
-        1 => s.try_could_happen_before(a, b),
-        _ => s.try_could_be_concurrent(a, b),
+        0 => s.try_must_happen_before(&ctx, a, b),
+        1 => s.try_could_happen_before(&ctx, a, b),
+        _ => s.try_could_be_concurrent(&ctx, a, b),
     };
 
     let (exact_answers, exact_time) = timed_best(3, || {
@@ -1844,12 +1847,13 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
             .map(|&q| answer_exact(&mut session, q))
             .collect::<Vec<bool>>()
     });
-    let (batch_answers, sat_batch_time) = timed_best(3, || {
+    let ((batch_answers, kept_schedules), sat_batch_time) = timed_best(3, || {
         let mut session = SatSession::new(&ctx);
-        batch
+        let answers = batch
             .iter()
             .map(|&q| answer_sat(&mut session, q).expect("unbudgeted"))
-            .collect::<Vec<bool>>()
+            .collect::<Vec<bool>>();
+        (answers, session.kept_schedules())
     });
     let (fresh_answers, sat_fresh_time) = timed_best(3, || {
         batch
@@ -1872,6 +1876,7 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
         exact_time,
         sat_batch_time,
         sat_fresh_time,
+        kept_schedules,
         sat_wins: sat_batch_time < exact_time,
     }
 }
@@ -2100,9 +2105,9 @@ pub fn e20_point(label: &str, spec: &WorkloadSpec) -> PrimitiveBenchRow {
             .iter()
             .map(|&(kind, a, b)| {
                 match kind {
-                    0 => session.try_must_happen_before(a, b),
-                    1 => session.try_could_happen_before(a, b),
-                    _ => session.try_could_be_concurrent(a, b),
+                    0 => session.try_must_happen_before(&ctx, a, b),
+                    1 => session.try_could_happen_before(&ctx, a, b),
+                    _ => session.try_could_be_concurrent(&ctx, a, b),
                 }
                 .expect("unbudgeted")
             })

@@ -155,10 +155,11 @@ impl Response {
 ///
 /// Both backends are exact and agree on every query; what differs is the
 /// cost profile. `Exact` explores the cut lattice with memoized witness
-/// searches; `Sat` encodes ⟨E, →T, →D⟩ as CNF once and answers each query
-/// with one incremental solve against a shared CDCL solver
-/// ([`crate::sat_backend::SatSession`]), amortizing learned clauses
-/// across a batch. Experiment E19 measures the crossover.
+/// searches; `Sat` encodes ⟨E, →T, →D⟩ as CNF once, answers what the
+/// schedules it keeps already prove, and solves the rest incrementally
+/// against a shared CDCL solver ([`crate::sat_backend::SatSession`]),
+/// amortizing learned clauses across a batch. Experiment E19 measures
+/// the crossover.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum QueryBackend {

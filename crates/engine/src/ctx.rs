@@ -180,6 +180,101 @@ impl<'a> SearchCtx<'a> {
         self.machine.is_complete(st)
     }
 
+    /// Replays `order` from the initial state under full feasibility
+    /// (machine semantics **and** dependence gating). Returns the state
+    /// reached, or `None` at the first event that is not co-enabled when
+    /// its turn comes (a repeated event never is: its process has moved
+    /// past it).
+    pub fn replay(&self, order: impl IntoIterator<Item = EventId>) -> Option<MachState> {
+        let mut st = self.initial_state();
+        for e in order {
+            let p = self.exec.event(e).process;
+            let fires = matches!(self.machine.enabled(&st, p), Ok(next) if next == e);
+            if !fires || !self.deps_satisfied(&st, e) {
+                return None;
+            }
+            self.machine.step(&mut st, p);
+        }
+        Some(st)
+    }
+
+    /// Checks a `witness_before` answer on its own terms: `schedule` is
+    /// complete, replays under full feasibility and runs `first` before
+    /// `second`. The error says which part fails.
+    pub fn check_witness_before(
+        &self,
+        first: EventId,
+        second: EventId,
+        schedule: &[EventId],
+    ) -> Result<(), String> {
+        let st = self
+            .replay(schedule.iter().copied())
+            .ok_or("the schedule does not replay")?;
+        if !self.is_complete(&st) {
+            return Err("the schedule is incomplete".into());
+        }
+        let pos = |e: EventId| schedule.iter().position(|&x| x == e);
+        if pos(first) < pos(second) {
+            Ok(())
+        } else {
+            Err(format!("the schedule runs {second} before {first}"))
+        }
+    }
+
+    /// Checks a `witness_overlap` answer on its own terms: `prefix` holds
+    /// neither event and replays under full feasibility to a state where
+    /// both are co-enabled, and firing them back to back there, in one
+    /// order or the other, leaves a complete schedule reachable (found by
+    /// a plain search, so keep the program small).
+    pub fn check_witness_overlap(
+        &self,
+        a: EventId,
+        b: EventId,
+        prefix: &[EventId],
+    ) -> Result<(), String> {
+        if prefix.contains(&a) || prefix.contains(&b) {
+            return Err("the prefix runs one of the pair".into());
+        }
+        let st = self
+            .replay(prefix.iter().copied())
+            .ok_or("the prefix does not replay")?;
+        let enabled = self.co_enabled(&st);
+        if ![a, b].iter().all(|&e| enabled.iter().any(|&(_, f)| f == e)) {
+            return Err("the pair is not co-enabled after the prefix".into());
+        }
+        let completes = |x: EventId, y: EventId| {
+            self.replay(prefix.iter().copied().chain([x, y]))
+                .is_some_and(|st| self.completable(st))
+        };
+        if completes(a, b) || completes(b, a) {
+            Ok(())
+        } else {
+            Err("no back-to-back firing of the pair completes".into())
+        }
+    }
+
+    /// Whether some complete schedule is reachable from `st`: a
+    /// depth-first search over co-enabled steps, each state visited once.
+    fn completable(&self, st: MachState) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![st];
+        let mut enabled = Vec::new();
+        while let Some(st) = stack.pop() {
+            if self.is_complete(&st) {
+                return true;
+            }
+            self.co_enabled_into(&st, &mut enabled);
+            for &(p, _) in &enabled {
+                let mut next = st.clone();
+                self.machine.step(&mut next, p);
+                if seen.insert(next.clone()) {
+                    stack.push(next);
+                }
+            }
+        }
+        false
+    }
+
     /// The induced partial order →T′ of a complete schedule under this
     /// context's feasibility mode, computed from scratch (the reference
     /// the incremental enumeration leaves are checked against).

@@ -14,16 +14,19 @@
 //! trigger variables for event-variable causality. This module owns the
 //! *engine-facing* plumbing:
 //!
-//! * [`SatSession`] — a long-lived query session over one encoding. Every
-//!   query is one (CCW: up to two) incremental `solve_assuming` call
-//!   against the shared CDCL solver, so conflict clauses learned by one
-//!   query prune the next, and the schedules the solves find are kept:
-//!   a CHB or MHB question one of them already answers costs no solve.
-//!   This is the `--backend sat` path of `eo serve` and the subject of
-//!   experiment E19.
+//! * [`SatSession`] — a long-lived query session over one encoding. It
+//!   keeps complete feasible schedules (the trace's observed order, then
+//!   the ones its solves find) and answers from them first: a CHB or MHB
+//!   question a kept schedule orders, and a CCW or overlap question whose
+//!   pair a kept schedule co-enables and can fire back to back, cost a
+//!   lookup and a linear replay. Only the rest reach the shared CDCL
+//!   solver, as one incremental `solve_assuming` call (CCW: up to two),
+//!   so conflict clauses learned by one query prune the next. A "no"
+//!   always comes from a solve. This is the `--backend sat` path of
+//!   `eo serve` and the subject of experiment E19.
 //! * the one-shot [`chb_via_sat`] / [`mhb_via_sat`] free functions and
-//!   their budgeted variants, which build a fresh encoding per call —
-//!   the historical cross-validation surface, kept verbatim.
+//!   their budgeted variants, which build a fresh session per call —
+//!   the historical cross-validation surface.
 //!
 //! Budgets thread through the solver's stop callback: the supervisor
 //! [`Budget`] is polled before the (cubic) encoding is built and
@@ -34,7 +37,7 @@
 use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
-use eo_model::EventId;
+use eo_model::{EventId, ProcessId};
 use eo_sat::Solver;
 use eo_sym::{PoEncoding, SymOutcome};
 
@@ -45,10 +48,17 @@ use eo_sym::{PoEncoding, SymOutcome};
 /// one incremental solve under assumptions. Learned clauses persist
 /// across queries — a batch against one session shares all refutation
 /// work, which is where the symbolic backend beats per-query-fresh
-/// solving (experiment E19 quantifies the gap). So do the schedules the
-/// solves decode: a before-query that one of them answers skips the
-/// solver.
+/// solving (experiment E19 quantifies the gap).
 ///
+/// The session also keeps complete feasible schedules, starting with the
+/// trace's observed order, and proves what it can from them without a
+/// solve: a before-query that one of them answers gets it back, and an
+/// overlap query whose pair one of them co-enables is answered by
+/// splicing the pair back to back at that prefix and replaying the
+/// result to completion under the context (machine plus →D gating).
+///
+/// Every query takes the [`SearchCtx`] the session was opened for, as
+/// [`crate::QueryMemo`]'s do; passing another context is a logic error.
 /// Answers are exact and agree with the witness-search engine
 /// ([`crate::queries`]) on every query; the differential suites pin this.
 pub struct SatSession {
@@ -57,19 +67,43 @@ pub struct SatSession {
     /// Solver counters already surfaced through `eo_obs`, so repeated
     /// queries against one incremental solver emit deltas, not totals.
     emitted: (u64, u64, u64),
-    /// Complete schedules the solves have decoded, overlap models
-    /// included (before truncation). One is kept only if it runs some
-    /// pair in an order no kept schedule does, so a long-lived session
-    /// keeps at most one per ordered pair.
+    /// Complete schedules that replay under the session's context: the
+    /// observed order, then the ones the solves decode (overlap models
+    /// before truncation). A schedule is kept only if it runs some pair
+    /// in an order no kept schedule does or co-enables a pair no kept
+    /// schedule does, or if a solved overlap query points at it, so a
+    /// session keeps at most 2·n·(n−1) of them.
     schedules: Vec<Vec<EventId>>,
     /// For the ordered pair `(a, b)`, at `a * n + b`: the index of a kept
     /// schedule running `a` before `b`, or `NO_SCHEDULE`. A CHB question
     /// with an entry here needs no solve.
     runs_before: Vec<u32>,
+    /// For the unordered pair `{a, b}`, at `min * n + max`: a kept
+    /// schedule and a prefix of it after which both are co-enabled — the
+    /// first such prefix of the first schedule that had one, or the
+    /// overlap point of the last solve that proved the pair.
+    co_enabled_at: Vec<Cut>,
+    /// The co-enabled list `keep` reuses at each step of its replay.
+    enabled: Vec<(ProcessId, EventId)>,
 }
 
 /// The `runs_before` entry of a pair no kept schedule runs in that order.
 const NO_SCHEDULE: u32 = u32::MAX;
+
+/// A prefix of a kept schedule: its first `at` events.
+#[derive(Clone, Copy)]
+struct Cut {
+    schedule: u32,
+    at: u32,
+}
+
+impl Cut {
+    /// The `co_enabled_at` entry of a pair no kept schedule co-enables.
+    const NONE: Cut = Cut {
+        schedule: NO_SCHEDULE,
+        at: 0,
+    };
+}
 
 impl SatSession {
     /// Opens an unbudgeted session for `ctx`'s execution (and feasibility
@@ -78,24 +112,29 @@ impl SatSession {
         SatSession::with_budget(ctx, Budget::unlimited())
     }
 
-    /// Opens a session whose queries run under `budget`.
+    /// Opens a session whose queries run under `budget`, seeded with the
+    /// trace's observed order (feasible by definition).
     pub fn with_budget(ctx: &SearchCtx<'_>, budget: Budget) -> SatSession {
         eo_obs::span!("sat.encode");
         let enc = PoEncoding::with_dependence(ctx.exec().trace(), &ctx.effective_dependence());
         eo_obs::counter!("sat.clauses", enc.core_clause_count() as u64);
         let n = enc.n_events();
-        SatSession {
+        let mut session = SatSession {
             enc,
             budget,
             emitted: (0, 0, 0),
             schedules: Vec::new(),
             runs_before: vec![NO_SCHEDULE; n * n],
-        }
+            co_enabled_at: vec![Cut::NONE; n * n],
+            enabled: Vec::new(),
+        };
+        session.keep(ctx, &ctx.exec().trace().observed_order(), false);
+        session
     }
 
     /// Replaces the budget subsequent queries run under, keeping the
-    /// encoding and every learned clause intact (the serve layer renews
-    /// budgets per request).
+    /// encoding, every learned clause and every kept schedule intact (the
+    /// serve layer renews budgets per request).
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
@@ -105,9 +144,14 @@ impl SatSession {
         &self.enc
     }
 
+    /// How many complete schedules the session keeps (diagnostics).
+    pub fn kept_schedules(&self) -> usize {
+        self.schedules.len()
+    }
+
     /// Runs one solve under the session budget (the caller has already
     /// checked it once), mapping `Interrupted` to the budget's error,
-    /// surfacing solver-counter deltas, and keeping the decoded schedule.
+    /// surfacing solver-counter deltas, and decoding the model.
     fn solve(
         &mut self,
         run: impl FnOnce(&mut PoEncoding, &mut dyn FnMut(u64) -> bool) -> SymOutcome,
@@ -126,34 +170,79 @@ impl SatSession {
         };
         self.surface_metrics();
         match outcome {
-            SymOutcome::Sat(model) => {
-                let schedule = self.enc.decode_schedule(&model);
-                self.keep(&schedule);
-                Ok(Some(schedule))
-            }
+            SymOutcome::Sat(model) => Ok(Some(self.enc.decode_schedule(&model))),
             SymOutcome::Unsat => Ok(None),
             SymOutcome::Interrupted => Err(stop_err.unwrap_or(EngineError::Cancelled)),
         }
     }
 
-    /// Keeps `schedule` if it runs some pair in an order no kept schedule
-    /// does, and indexes it under every such pair.
-    fn keep(&mut self, schedule: &[EventId]) {
-        let n = schedule.len();
-        let index = self.schedules.len() as u32;
-        let mut orders_a_new_pair = false;
+    /// The `co_enabled_at` slot of the unordered pair `{a, b}`.
+    fn pair_slot(&self, a: EventId, b: EventId) -> usize {
+        let (lo, hi) = (a.index().min(b.index()), a.index().max(b.index()));
+        lo * self.enc.n_events() + hi
+    }
+
+    /// Keeps `schedule` if it runs some pair in a new order or co-enables
+    /// a new pair (or if `always`), indexing it under every such pair, and
+    /// returns its index when kept. The replay under `ctx` that finds the
+    /// co-enabled pairs cannot block: solved schedules are models of an
+    /// exact encoding, and the observed order is validated with the trace.
+    fn keep(&mut self, ctx: &SearchCtx<'_>, schedule: &[EventId], always: bool) -> Option<u32> {
+        let n = self.enc.n_events();
+        let index = u32::try_from(self.schedules.len()).expect("kept schedules fit u32 indices");
+        let mut fresh = false;
+        let mut st = ctx.initial_state();
+        for (at, &e) in schedule.iter().enumerate() {
+            ctx.co_enabled_into(&st, &mut self.enabled);
+            for (i, &(_, x)) in self.enabled.iter().enumerate() {
+                for &(_, y) in &self.enabled[i + 1..] {
+                    let slot = self.pair_slot(x, y);
+                    if self.co_enabled_at[slot].schedule == NO_SCHEDULE {
+                        self.co_enabled_at[slot] = Cut {
+                            schedule: index,
+                            at: at as u32,
+                        };
+                        fresh = true;
+                    }
+                }
+            }
+            ctx.step(&mut st, ctx.exec().event(e).process);
+        }
         for (i, a) in schedule.iter().enumerate() {
             for b in &schedule[i + 1..] {
                 let entry = &mut self.runs_before[a.index() * n + b.index()];
                 if *entry == NO_SCHEDULE {
                     *entry = index;
-                    orders_a_new_pair = true;
+                    fresh = true;
                 }
             }
         }
-        if orders_a_new_pair {
-            self.schedules.push(schedule.to_vec());
+        if !(fresh || always) {
+            return None;
         }
+        self.schedules.push(schedule.to_vec());
+        Some(index)
+    }
+
+    /// Proves `a` and `b` co-enabled from a kept schedule: splices the
+    /// pair back to back, in either order, at the prefix where that
+    /// schedule co-enables them, and returns the prefix if a splice
+    /// replays to completion under `ctx`.
+    fn splice(&self, ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> Option<Vec<EventId>> {
+        let cut = self.co_enabled_at[self.pair_slot(a, b)];
+        if cut.schedule == NO_SCHEDULE {
+            return None;
+        }
+        let (prefix, rest) = self.schedules[cut.schedule as usize].split_at(cut.at as usize);
+        let completes = |x: EventId, y: EventId| {
+            let spliced = prefix
+                .iter()
+                .copied()
+                .chain([x, y])
+                .chain(rest.iter().copied().filter(|&e| e != a && e != b));
+            ctx.replay(spliced).is_some_and(|st| ctx.is_complete(&st))
+        };
+        (completes(a, b) || completes(b, a)).then(|| prefix.to_vec())
     }
 
     /// Emits the solver counters accrued since the last emission under
@@ -169,14 +258,14 @@ impl SatSession {
 
     /// A complete feasible schedule running `first` strictly before
     /// `second`, or `None` when every feasible execution orders them the
-    /// other way. A schedule an earlier solve of this session found is
-    /// returned when one runs `first` first; otherwise one incremental
-    /// solve.
+    /// other way. A kept schedule is returned when one runs `first`
+    /// first; otherwise one incremental solve.
     ///
     /// # Panics
     /// Panics if `first == second`.
     pub fn try_witness_before(
         &mut self,
+        ctx: &SearchCtx<'_>,
         first: EventId,
         second: EventId,
     ) -> Result<Option<Vec<EventId>>, EngineError> {
@@ -186,50 +275,81 @@ impl SatSession {
         if kept != NO_SCHEDULE {
             return Ok(Some(self.schedules[kept as usize].clone()));
         }
-        self.solve(|enc, stop| enc.solve_before(first, second, stop))
+        let schedule = self.solve(|enc, stop| enc.solve_before(first, second, stop))?;
+        if let Some(schedule) = &schedule {
+            self.keep(ctx, schedule, false);
+        }
+        Ok(schedule)
     }
 
     /// A feasible schedule prefix reaching a state where `a` and `b` are
-    /// simultaneously enabled (and completion stays reachable), or `None`.
-    /// Up to two incremental solves (one per firing order).
+    /// simultaneously enabled and firing them back to back, in one order
+    /// or the other, keeps completion reachable; or `None`. A splice of a
+    /// kept schedule answers when one replays; otherwise up to two
+    /// incremental solves (one per firing order).
     ///
     /// # Panics
     /// Panics if `a == b`.
     pub fn try_witness_overlap(
         &mut self,
+        ctx: &SearchCtx<'_>,
         a: EventId,
         b: EventId,
     ) -> Result<Option<Vec<EventId>>, EngineError> {
         assert_ne!(a, b, "witness queries need two distinct events");
         self.budget.check(0)?;
-        let schedule = self.solve(|enc, stop| enc.solve_overlap(a, b, stop))?;
-        Ok(schedule.map(|mut schedule| {
-            // The model schedules the pair back to back with both enabled
-            // at the state just before; the witness is the prefix up to
-            // that state, matching the search engine's contract.
-            let overlap_at = schedule
-                .iter()
-                .position(|&e| e == a || e == b)
-                .expect("decoded schedule contains every event");
-            schedule.truncate(overlap_at);
-            schedule
-        }))
+        if let Some(prefix) = self.splice(ctx, a, b) {
+            return Ok(Some(prefix));
+        }
+        let Some(schedule) = self.solve(|enc, stop| enc.solve_overlap(a, b, stop))? else {
+            return Ok(None);
+        };
+        // The model schedules the pair back to back with both enabled at
+        // the state just before; the witness is the prefix up to that
+        // state, matching the search engine's contract. The pair's cut
+        // moves there, so asking again splices the model itself.
+        let at = schedule
+            .iter()
+            .position(|&e| e == a || e == b)
+            .expect("decoded schedule contains every event");
+        let index = self.keep(ctx, &schedule, true).expect("kept always");
+        let slot = self.pair_slot(a, b);
+        self.co_enabled_at[slot] = Cut {
+            schedule: index,
+            at: at as u32,
+        };
+        Ok(Some(schedule[..at].to_vec()))
     }
 
     /// Decides `a MHB b`: no feasible schedule runs `b` before `a`.
-    pub fn try_must_happen_before(&mut self, a: EventId, b: EventId) -> Result<bool, EngineError> {
-        Ok(a != b && self.try_witness_before(b, a)?.is_none())
+    pub fn try_must_happen_before(
+        &mut self,
+        ctx: &SearchCtx<'_>,
+        a: EventId,
+        b: EventId,
+    ) -> Result<bool, EngineError> {
+        Ok(a != b && self.try_witness_before(ctx, b, a)?.is_none())
     }
 
     /// Decides `a CHB b`: some feasible schedule runs `a` before `b`.
-    pub fn try_could_happen_before(&mut self, a: EventId, b: EventId) -> Result<bool, EngineError> {
-        Ok(a != b && self.try_witness_before(a, b)?.is_some())
+    pub fn try_could_happen_before(
+        &mut self,
+        ctx: &SearchCtx<'_>,
+        a: EventId,
+        b: EventId,
+    ) -> Result<bool, EngineError> {
+        Ok(a != b && self.try_witness_before(ctx, a, b)?.is_some())
     }
 
     /// Decides operational `a CCW b`: some feasible schedule reaches a
     /// state with both enabled and still completes.
-    pub fn try_could_be_concurrent(&mut self, a: EventId, b: EventId) -> Result<bool, EngineError> {
-        Ok(a != b && self.try_witness_overlap(a, b)?.is_some())
+    pub fn try_could_be_concurrent(
+        &mut self,
+        ctx: &SearchCtx<'_>,
+        a: EventId,
+        b: EventId,
+    ) -> Result<bool, EngineError> {
+        Ok(a != b && self.try_witness_overlap(ctx, a, b)?.is_some())
     }
 }
 
@@ -244,13 +364,13 @@ fn emit_solver_metrics(solver: &Solver) {
 }
 
 /// Decides `first CHB second` by SAT, returning the witness schedule on
-/// success. One-shot: builds a fresh encoding per call — batching callers
+/// success. One-shot: opens a fresh session per call — batching callers
 /// should hold a [`SatSession`] instead.
 pub fn chb_via_sat(ctx: &SearchCtx<'_>, first: EventId, second: EventId) -> Option<Vec<EventId>> {
     assert_ne!(first, second);
     let mut session = SatSession::new(ctx);
     let result = session
-        .try_witness_before(first, second)
+        .try_witness_before(ctx, first, second)
         .expect("an unlimited budget cannot interrupt the solver");
     emit_solver_metrics(session.enc.solver());
     result
@@ -274,7 +394,7 @@ pub fn chb_via_sat_budgeted(
     assert_ne!(first, second);
     budget.check(0)?;
     let mut session = SatSession::with_budget(ctx, budget.clone());
-    let result = session.try_witness_before(first, second);
+    let result = session.try_witness_before(ctx, first, second);
     emit_solver_metrics(session.enc.solver());
     result
 }
@@ -388,17 +508,17 @@ mod tests {
                         }
                         let (ea, eb) = (EventId::new(a), EventId::new(b));
                         assert_eq!(
-                            session.try_must_happen_before(ea, eb).unwrap(),
+                            session.try_must_happen_before(&ctx, ea, eb).unwrap(),
                             queries::must_happen_before(&ctx, ea, eb),
                             "mhb({a},{b}) disagrees in {mode:?}"
                         );
                         assert_eq!(
-                            session.try_could_happen_before(ea, eb).unwrap(),
+                            session.try_could_happen_before(&ctx, ea, eb).unwrap(),
                             queries::could_happen_before(&ctx, ea, eb),
                             "chb({a},{b}) disagrees in {mode:?}"
                         );
                         assert_eq!(
-                            session.try_could_be_concurrent(ea, eb).unwrap(),
+                            session.try_could_be_concurrent(&ctx, ea, eb).unwrap(),
                             queries::could_be_concurrent(&ctx, ea, eb),
                             "ccw({a},{b}) disagrees in {mode:?}"
                         );
@@ -408,40 +528,97 @@ mod tests {
         }
     }
 
+    /// Seeded random programs in both synchronization styles, small
+    /// enough for the checker's plain completion search.
+    fn random_traces() -> Vec<eo_model::Trace> {
+        use eo_lang::generator::{generate_trace, WorkloadSpec};
+        (1..=6u64)
+            .flat_map(|seed| {
+                let mut sem = WorkloadSpec::small_semaphore(seed);
+                let mut ev = WorkloadSpec::small_events(seed);
+                ev.clears = seed % 2 == 0;
+                for spec in [&mut sem, &mut ev] {
+                    spec.processes = 3;
+                    spec.events_per_process = 3;
+                }
+                [generate_trace(&sem, 100), generate_trace(&ev, 100)]
+            })
+            .collect()
+    }
+
+    /// How a session is about to answer: from a kept schedule, by a
+    /// splice, or by a solve.
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        Kept,
+        Spliced,
+        Solved,
+    }
+
     #[test]
-    fn session_overlap_witness_is_a_replayable_prefix() {
-        for trace in all_fixtures() {
-            let exec = trace.to_execution().unwrap();
-            let ctx = ctx_of(&exec);
-            let mut session = SatSession::new(&ctx);
-            let n = exec.n_events();
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    let (ea, eb) = (EventId::new(a), EventId::new(b));
-                    if let Some(prefix) = session.try_witness_overlap(ea, eb).unwrap() {
-                        assert!(
-                            !prefix.contains(&ea) && !prefix.contains(&eb),
-                            "the overlap prefix stops before the pair"
-                        );
-                        let m = ctx.machine();
-                        let mut st = m.initial_state();
-                        for &e in &prefix {
-                            assert!(
-                                m.enabled_events(&st).iter().any(|&(_, ev)| ev == e),
-                                "overlap prefix for ({a},{b}) replays"
-                            );
-                            m.step(&mut st, exec.trace().event(e).process);
+    fn every_session_witness_passes_the_replay_checker() {
+        let mut traces = all_fixtures();
+        traces.extend(random_traces());
+        traces.push(one_token_race().0);
+        let mut answered = [0usize; 3];
+        for trace in traces {
+            for mode in [
+                FeasibilityMode::PreserveDependences,
+                FeasibilityMode::IgnoreDependences,
+            ] {
+                let exec = trace.to_execution().unwrap();
+                let ctx = SearchCtx::new(&exec, mode);
+                let mut session = SatSession::new(&ctx);
+                let n = exec.n_events();
+                for a in 0..n {
+                    for b in 0..n {
+                        if a == b {
+                            continue;
                         }
-                        let enabled = m.enabled_events(&st);
-                        assert!(
-                            enabled.iter().any(|&(_, ev)| ev == ea)
-                                && enabled.iter().any(|&(_, ev)| ev == eb),
-                            "both of ({a},{b}) enabled at the prefix state"
+                        let (ea, eb) = (EventId::new(a), EventId::new(b));
+                        let path = if session.runs_before[a * n + b] != NO_SCHEDULE {
+                            Path::Kept
+                        } else {
+                            Path::Solved
+                        };
+                        let w = session.try_witness_before(&ctx, ea, eb).unwrap();
+                        assert_eq!(
+                            w.is_some(),
+                            queries::could_happen_before(&ctx, ea, eb),
+                            "chb({a},{b}) in {mode:?}"
                         );
+                        if let Some(w) = w {
+                            ctx.check_witness_before(ea, eb, &w).unwrap_or_else(|e| {
+                                panic!("{path:?} before-witness ({a},{b}) in {mode:?}: {e}")
+                            });
+                            answered[path as usize] += 1;
+                        }
+
+                        let path = if session.splice(&ctx, ea, eb).is_some() {
+                            Path::Spliced
+                        } else {
+                            Path::Solved
+                        };
+                        let w = session.try_witness_overlap(&ctx, ea, eb).unwrap();
+                        assert_eq!(
+                            w.is_some(),
+                            queries::could_be_concurrent(&ctx, ea, eb),
+                            "ccw({a},{b}) in {mode:?}"
+                        );
+                        if let Some(w) = w {
+                            ctx.check_witness_overlap(ea, eb, &w).unwrap_or_else(|e| {
+                                panic!("{path:?} overlap witness ({a},{b}) in {mode:?}: {e}")
+                            });
+                            answered[path as usize] += 1;
+                        }
                     }
                 }
             }
         }
+        assert!(
+            answered.iter().all(|&k| k > 0),
+            "kept, spliced and solved witnesses are all checked: {answered:?}"
+        );
     }
 
     #[test]
@@ -496,52 +673,109 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
         let replays = |w: &[EventId], first: EventId, second: EventId| {
-            let pos = |e: EventId| w.iter().position(|&x| x == e).unwrap();
-            ctx.machine().replay(w).is_ok() && pos(first) < pos(second)
+            ctx.check_witness_before(first, second, w).is_ok()
         };
+        // The session opens with the observed order kept. It runs a
+        // before b, so that question is answered from it, and the solver
+        // does nothing.
         let mut session = SatSession::new(&ctx);
-        let found = session.try_witness_before(a, b).unwrap().expect("a first");
-        assert!(replays(&found, a, b));
-
-        // The kept schedule orders its first event before its last one:
-        // that question is answered from it, and the solver does nothing.
-        let (p, q) = (found[0], found[found.len() - 1]);
+        assert_eq!(session.kept_schedules(), 1);
         let before = work(&session);
-        let reused = session.try_witness_before(p, q).unwrap().expect("kept");
+        let observed = session
+            .try_witness_before(&ctx, a, b)
+            .unwrap()
+            .expect("kept");
         assert_eq!(work(&session), before, "a kept schedule needs no solve");
-        assert_eq!(reused, found);
-        assert!(replays(&reused, p, q));
+        assert_eq!(observed, exec.trace().observed_order());
+        assert!(replays(&observed, a, b));
 
-        // No kept schedule runs b first, so that question is solved.
+        // No kept schedule runs b first, so that question is solved, and
+        // the schedule it finds orders a pair anew, so it is kept.
         let before = work(&session);
-        let solved = session.try_witness_before(b, a).unwrap().expect("b first");
+        let solved = session
+            .try_witness_before(&ctx, b, a)
+            .unwrap()
+            .expect("b first");
         assert_ne!(work(&session), before, "an unanswered pair runs a solve");
         assert!(replays(&solved, b, a));
+        assert_eq!(session.kept_schedules(), 2);
         let before = work(&session);
-        assert!(!session.try_must_happen_before(a, b).unwrap());
+        assert!(!session.try_must_happen_before(&ctx, a, b).unwrap());
         assert_eq!(work(&session), before, "MHB reads the kept schedules too");
 
-        // Overlap models are kept before truncation: the complete schedule
-        // behind an overlap witness answers one of the two orientations.
+        // Overlap queries splice a kept schedule: the observed order
+        // co-enables the independent pair at the initial state.
         let (trace, x, y) = fixtures::independent_pair();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
         let mut session = SatSession::new(&ctx);
-        assert!(session.try_witness_overlap(x, y).unwrap().is_some());
+        let before = work(&session);
+        assert_eq!(
+            session.try_witness_overlap(&ctx, x, y).unwrap(),
+            Some(vec![])
+        );
+        assert_eq!(work(&session), before, "a splice needs no solve");
+        // The observed order runs x first; y first takes one solve.
         let mut solves = 0;
         for (p, q) in [(x, y), (y, x)] {
             let before = work(&session);
-            assert!(session.try_could_happen_before(p, q).unwrap());
+            assert!(session.try_could_happen_before(&ctx, p, q).unwrap());
             solves += usize::from(work(&session) != before);
         }
-        assert_eq!(solves, 1, "the overlap model answers one orientation");
+        assert_eq!(solves, 1, "the observed order answers one orientation");
 
-        // Only a schedule that orders some pair anew is kept, so repeated
-        // queries do not grow the session.
+        // Only a schedule that orders or co-enables some pair anew is
+        // kept, so repeated queries do not grow the session.
         for _ in 0..10 {
-            session.try_witness_overlap(x, y).unwrap();
+            session.try_witness_overlap(&ctx, x, y).unwrap();
+            session.try_witness_before(&ctx, y, x).unwrap();
         }
-        assert_eq!(session.schedules.len(), 2, "one per orientation");
+        assert_eq!(session.kept_schedules(), 2, "one per orientation");
+    }
+
+    /// One token: A runs P; V, B runs P, C runs V; observed A.P, C.V,
+    /// B.P, A.V. Both P's are enabled at the initial state, but with a
+    /// single token neither can follow the other there; after C's V they
+    /// can. Returns the trace, A's P, B's P and C's V.
+    fn one_token_race() -> (eo_model::Trace, EventId, EventId, EventId) {
+        let mut tb = eo_model::TraceBuilder::new();
+        let (pa, pb, pc) = (tb.process("A"), tb.process("B"), tb.process("C"));
+        let s = tb.semaphore("s", 1);
+        let a1 = tb.push(pa, Op::SemP(s));
+        let c1 = tb.push(pc, Op::SemV(s));
+        let b1 = tb.push(pb, Op::SemP(s));
+        tb.push(pa, Op::SemV(s));
+        (tb.build().unwrap(), a1, b1, c1)
+    }
+
+    #[test]
+    fn a_failed_splice_falls_back_to_a_solve_and_moves_the_cut() {
+        let (trace, a1, b1, c1) = one_token_race();
+        let exec = trace.to_execution().unwrap();
+        let ctx = ctx_of(&exec);
+        let mut session = SatSession::new(&ctx);
+        assert!(
+            session.splice(&ctx, a1, b1).is_none(),
+            "no splice at the start"
+        );
+
+        let before = work(&session);
+        let prefix = session
+            .try_witness_overlap(&ctx, a1, b1)
+            .unwrap()
+            .expect("ccw");
+        assert_ne!(work(&session), before, "a failed splice runs a solve");
+        assert!(prefix.contains(&c1), "the second token must be in first");
+        ctx.check_witness_overlap(a1, b1, &prefix).unwrap();
+
+        // The solve moved the pair's cut to its own overlap point, so the
+        // same question is now spliced from the model it kept.
+        let before = work(&session);
+        assert_eq!(
+            session.try_witness_overlap(&ctx, b1, a1).unwrap(),
+            Some(prefix)
+        );
+        assert_eq!(work(&session), before, "asked again, the pair is spliced");
     }
 
     #[test]
@@ -555,7 +789,7 @@ mod tests {
             for b in 0..n {
                 if a != b {
                     let _ = session
-                        .try_could_happen_before(EventId::new(a), EventId::new(b))
+                        .try_could_happen_before(&ctx, EventId::new(a), EventId::new(b))
                         .unwrap();
                 }
             }
@@ -565,7 +799,7 @@ mod tests {
             for b in 0..n {
                 if a != b {
                     let _ = session
-                        .try_could_happen_before(EventId::new(a), EventId::new(b))
+                        .try_could_happen_before(&ctx, EventId::new(a), EventId::new(b))
                         .unwrap();
                 }
             }
@@ -587,11 +821,25 @@ mod tests {
         budget.cancel_handle().cancel();
         let mut session = SatSession::with_budget(&ctx, budget);
         assert!(matches!(
-            session.try_could_happen_before(ids.v, ids.p),
+            session.try_could_happen_before(&ctx, ids.v, ids.p),
+            Err(EngineError::Cancelled)
+        ));
+        // The budget is checked before the kept schedules are read: the
+        // observed order answers these two, yet both error.
+        assert!(session.splice(&ctx, ids.after_v, ids.p).is_some());
+        assert!(matches!(
+            session.try_witness_overlap(&ctx, ids.after_v, ids.p),
+            Err(EngineError::Cancelled)
+        ));
+        assert!(matches!(
+            session.try_witness_before(&ctx, ids.v, ids.after_p),
             Err(EngineError::Cancelled)
         ));
         // Renewing the budget revives the session in place.
         session.set_budget(Budget::unlimited());
-        assert!(session.try_could_happen_before(ids.v, ids.p).unwrap());
+        assert!(session.try_could_happen_before(&ctx, ids.v, ids.p).unwrap());
+        assert!(session
+            .try_could_be_concurrent(&ctx, ids.after_v, ids.p)
+            .unwrap());
     }
 }

@@ -135,18 +135,20 @@ fn sat_backend_honours_injected_faults() {
         Err(EngineError::DeadlineExceeded { .. })
     ));
     // Fault deep inside the DPLL search (checkpoints 1–2 are the
-    // pre/post-encoding checks, so 3+ lands on solver nodes).
+    // pre/post-encoding checks, so 3+ lands on solver nodes). The session
+    // keeps the observed order, which runs `a` first, so only `b` before
+    // `a` reaches the solver.
     assert!(matches!(
-        chb_via_sat_budgeted(&ctx, a, b, &faulty(3, Fault::Cancel)),
+        chb_via_sat_budgeted(&ctx, b, a, &faulty(3, Fault::Cancel)),
         Err(EngineError::Cancelled)
     ));
     // An untripped plan must not change the verdict.
     let untripped = faulty(1_000_000_000, Fault::Memory);
     assert_eq!(
-        chb_via_sat_budgeted(&ctx, a, b, &untripped)
+        chb_via_sat_budgeted(&ctx, b, a, &untripped)
             .unwrap()
             .is_some(),
-        chb_via_sat(&ctx, a, b).is_some()
+        chb_via_sat(&ctx, b, a).is_some()
     );
 }
 
@@ -155,7 +157,9 @@ fn sat_session_cancellation_lands_mid_propagation() {
     let (trace, ids) = fixtures::figure1();
     let exec = trace.to_execution().unwrap();
     let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-    let (a, b) = (ids.post_left, ids.post_right);
+    // The observed order runs `post_left` first and the session keeps
+    // it, so asking for `post_right` first is what reaches the solver.
+    let (a, b) = (ids.post_right, ids.post_left);
 
     // Checkpoints 1–2 are the session's entry check and the solver's
     // up-front stop poll; 3 lands on a poll *inside* the first unit
@@ -164,7 +168,7 @@ fn sat_session_cancellation_lands_mid_propagation() {
     // before any decision is made.
     let mut session = SatSession::with_budget(&ctx, faulty(3, Fault::Cancel));
     assert_eq!(
-        session.try_could_happen_before(a, b),
+        session.try_could_happen_before(&ctx, a, b),
         Err(EngineError::Cancelled)
     );
     let solver = session.encoding().solver();
@@ -181,7 +185,7 @@ fn sat_session_cancellation_lands_mid_propagation() {
     // intact, and the answer matches the one-shot oracle.
     session.set_budget(Budget::unlimited());
     assert_eq!(
-        session.try_could_happen_before(a, b).unwrap(),
+        session.try_could_happen_before(&ctx, a, b).unwrap(),
         chb_via_sat(&ctx, a, b).is_some()
     );
 
@@ -189,12 +193,12 @@ fn sat_session_cancellation_lands_mid_propagation() {
     // the same mid-propagation poll.
     let mut session = SatSession::with_budget(&ctx, faulty(3, Fault::Deadline));
     assert!(matches!(
-        session.try_witness_before(a, b),
+        session.try_witness_before(&ctx, a, b),
         Err(EngineError::DeadlineExceeded { .. })
     ));
     let mut session = SatSession::with_budget(&ctx, faulty(3, Fault::Memory));
     assert!(matches!(
-        session.try_witness_overlap(a, b),
+        session.try_witness_overlap(&ctx, a, b),
         Err(EngineError::MemoryExceeded { .. })
     ));
 }

@@ -58,9 +58,10 @@ pub struct SessionConfig {
     /// Which decision procedure answers queries that reach the engine
     /// tier (`eo serve --backend {exact,sat}`). Decided answers are
     /// identical either way; witness *schedules* may differ (both are
-    /// valid witnesses). [`QueryBackend::Sat`] answers each query with
-    /// one incremental solve against a shared CNF encoding, amortizing
-    /// learned clauses across the batch.
+    /// valid witnesses). [`QueryBackend::Sat`] answers from the complete
+    /// schedules its session keeps when they prove the query, and
+    /// otherwise with incremental solves against a shared CNF encoding,
+    /// amortizing learned clauses across the batch.
     pub backend: QueryBackend,
     /// The non-default [`EngineConfig`] fields this session was opened
     /// with, echoed additively on every reply as a `config` object.
@@ -267,12 +268,15 @@ impl<'e> AnalysisSession<'e> {
     }
 
     /// The symbolic backend, built on first use (its construction pays
-    /// the cubic encoding once; every query after that is incremental).
-    fn sat_session(&mut self) -> &mut SatSession {
+    /// the cubic encoding once; every query after that is incremental),
+    /// with the context its queries take.
+    fn sat_session(&mut self) -> (&SearchCtx<'e>, &mut SatSession) {
         let ctx = &self.ctx;
         let budget = self.config.engine.effective_budget();
-        self.sat
-            .get_or_insert_with(|| SatSession::with_budget(ctx, budget))
+        let sat = self
+            .sat
+            .get_or_insert_with(|| SatSession::with_budget(ctx, budget));
+        (ctx, sat)
     }
 
     /// States interned in the session's main state arena so far.
@@ -420,11 +424,11 @@ impl<'e> AnalysisSession<'e> {
             }
         }
         let v = if self.config.backend == QueryBackend::Sat {
-            let sat = self.sat_session();
+            let (ctx, sat) = self.sat_session();
             match kind {
-                FactKind::Mhb => sat.try_must_happen_before(a, b)?,
-                FactKind::Chb => sat.try_could_happen_before(a, b)?,
-                FactKind::Ccw => sat.try_could_be_concurrent(a, b)?,
+                FactKind::Mhb => sat.try_must_happen_before(ctx, a, b)?,
+                FactKind::Chb => sat.try_could_happen_before(ctx, a, b)?,
+                FactKind::Ccw => sat.try_could_be_concurrent(ctx, a, b)?,
             }
         } else {
             match kind {
@@ -526,11 +530,11 @@ impl<'e> AnalysisSession<'e> {
             }
         }
         let w = if self.config.backend == QueryBackend::Sat {
-            let sat = self.sat_session();
+            let (ctx, sat) = self.sat_session();
             if overlap {
-                sat.try_witness_overlap(a, b)?
+                sat.try_witness_overlap(ctx, a, b)?
             } else {
-                sat.try_witness_before(a, b)?
+                sat.try_witness_before(ctx, a, b)?
             }
         } else if overlap {
             self.memo.try_witness_overlap(&self.ctx, a, b)?

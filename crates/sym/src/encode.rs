@@ -35,9 +35,13 @@
 //! ## Queries as assumptions
 //!
 //! The encoding is built **once** into an incremental CDCL solver
-//! ([`eo_sat::Solver`]); every query is then a single
-//! [`eo_sat::Solver::solve_assuming`] call, so all clauses the solver
-//! learns while answering one query shorten the next:
+//! ([`eo_sat::Solver`]); every query is then one
+//! [`eo_sat::Solver::solve_assuming`] call per orientation it tries (CHB:
+//! one; CCW: up to two), so all clauses the solver learns while answering
+//! one query shorten the next. The encoding solves whatever it is asked;
+//! `eo-engine`'s `SatSession` asks it only for what the schedules it
+//! keeps cannot prove, since a "yes" has a certificate that replays in
+//! linear time and only a "no" needs a refutation:
 //!
 //! * `first` CHB `second` — assume the one literal `o(first, second)`;
 //! * `a` MHB `b` — the CHB query `b` before `a` is unsatisfiable;
@@ -518,15 +522,21 @@ impl PoEncoding {
         act
     }
 
-    /// Reads the schedule out of a model: events sorted by how many other
-    /// events they precede.
+    /// Reads the schedule out of a model: events sorted with the pair
+    /// literal as the comparator. A model's pair literals form a strict
+    /// total order (a transitive tournament), so the sort is well defined
+    /// and costs O(n log n) literal lookups.
     pub fn decode_schedule(&self, model: &[bool]) -> Vec<EventId> {
         let before = |a: usize, b: usize| {
             let lit = self.before(a, b);
             lit.satisfied_by(model[lit.var.index()])
         };
         let mut order: Vec<usize> = (0..self.n).collect();
-        order.sort_by_key(|&e| (0..self.n).filter(|&o| o != e && before(o, e)).count());
+        order.sort_by(|&a, &b| match a.cmp(&b) {
+            std::cmp::Ordering::Equal => std::cmp::Ordering::Equal,
+            _ if before(a, b) => std::cmp::Ordering::Less,
+            _ => std::cmp::Ordering::Greater,
+        });
         order.into_iter().map(EventId::new).collect()
     }
 }

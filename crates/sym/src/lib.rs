@@ -4,8 +4,9 @@
 //! ROADMAP item 1 realized: instead of enumerating interleavings, encode
 //! the feasibility constraints of ⟨E, →T, →D⟩ directly as CNF — in the
 //! style of Alglave–Kroening–Tautschnig's partial-order BMC encoding —
-//! and answer MHB/CHB/CCW and witness queries with one
-//! `solve_assuming` call each against a single shared formula. Learned
+//! and answer MHB/CHB/CCW and witness queries with incremental
+//! `solve_assuming` calls against a single shared formula (one per CHB
+//! query, up to two per CCW query). Learned
 //! clauses accumulate across a whole batch of queries, which is where the
 //! symbolic backend earns its keep on the query-heavy serve workloads
 //! (experiment E19 measures both the enumeration↔symbolic crossover and
