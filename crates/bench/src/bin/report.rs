@@ -1,4 +1,4 @@
-//! Regenerates every experiment table (E1–E11 + ablations) and prints them
+//! Regenerates every experiment table (E1–E20 + ablations) and prints them
 //! in the form recorded in EXPERIMENTS.md.
 //!
 //! ```text

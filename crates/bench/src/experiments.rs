@@ -831,7 +831,7 @@ pub fn e12_workloads() -> Vec<(String, ProgramExecution, FeasibilityMode)> {
 /// One (workload × strategy) measurement in the E17 equivalence ablation.
 #[derive(Clone, Debug)]
 pub struct EquivRow {
-    /// Workload label (shared across the three strategy rows).
+    /// Workload label (shared across the strategy rows).
     pub workload: String,
     /// The trace equivalence the enumeration quotiented by.
     pub strategy: EquivStrategy,
@@ -951,19 +951,19 @@ pub fn e17_point(
 }
 
 /// The full E17 ablation: every gallery fixture, every E12 workload, and
-/// the 83-event ceiling workload, each under all three strategies at the
+/// the 83-event ceiling workload, each under both strategies at the
 /// default schedule cap. Asserts the coarsening soundness and pruning
 /// bars inline, so a bench run doubles as an acceptance check:
 ///
 /// * strategies that finish agree on the exact order set (bit-identical
 ///   class answers, hence bit-identical summaries);
-/// * the canonical strategies reach perfect pruning
-///   (`schedules == orders`) on every workload they finish;
-/// * grain explores strictly fewer schedules than Mazurkiewicz on the E9
-///   semaphore family;
+/// * the canonical strategy reaches perfect pruning
+///   (`schedules == orders`) on every workload it finishes;
+/// * normal-form explores strictly fewer schedules than Mazurkiewicz on
+///   the E9 semaphore family;
 /// * the ceiling workload (≥ 2× the events of `e6-8x5`) truncates the
-///   sleep-set baseline but is enumerated exactly by normal-form and
-///   grain under the same budget.
+///   sleep-set baseline but is enumerated exactly by normal-form under
+///   the same budget.
 pub fn e17_rows() -> Vec<EquivRow> {
     let cap = 1 << 20;
     let mut inputs: Vec<(String, ProgramExecution, FeasibilityMode)> = e17_gallery()
@@ -979,17 +979,8 @@ pub fn e17_rows() -> Vec<EquivRow> {
 
     let mut rows = Vec::new();
     for (label, exec, mode) in &inputs {
-        // The sleep-set baseline needs tens of seconds just to *truncate*
-        // on the ceiling workload; run it, but skip the (slower, equally
-        // truncated) naive-leaning grain closure maintenance there — the
-        // ceiling bar is about normal-form completing exactly.
-        let strategies: &[EquivStrategy] = if label == "wide-pitfall-3x20" {
-            &[EquivStrategy::Mazurkiewicz, EquivStrategy::NormalForm]
-        } else {
-            &EquivStrategy::ALL
-        };
         let mut orders_of_finishers: Option<(EquivStrategy, Vec<u128>)> = None;
-        for &strategy in strategies {
+        for strategy in EquivStrategy::ALL {
             let (row, fps) = e17_point(label, exec, *mode, strategy, cap);
             if !row.truncated {
                 // Soundness bar: every strategy that finishes reports the
@@ -1001,7 +992,7 @@ pub fn e17_rows() -> Vec<EquivRow> {
                         "{label}: {strategy} and {first} disagree on F(P)"
                     ),
                 }
-                if strategy.canonical().is_some() {
+                if strategy.canonical() {
                     assert_eq!(
                         row.schedules, row.orders,
                         "{label}: {strategy} fell short of perfect pruning"
@@ -1012,21 +1003,21 @@ pub fn e17_rows() -> Vec<EquivRow> {
         }
     }
 
-    // E9 coarsening bar: grain merges Mazurkiewicz classes on the
+    // E9 coarsening bar: normal-form merges Mazurkiewicz classes on the
     // semaphore pairing family.
     for family in ["e9-pitfall-6", "e9-random-6x4"] {
         let maz = rows
             .iter()
             .find(|r| r.workload == family && r.strategy == EquivStrategy::Mazurkiewicz)
             .expect("E9 rows present");
-        let grain = rows
+        let nf = rows
             .iter()
-            .find(|r| r.workload == family && r.strategy == EquivStrategy::Grain)
+            .find(|r| r.workload == family && r.strategy == EquivStrategy::NormalForm)
             .expect("E9 rows present");
         assert!(
-            grain.schedules < maz.schedules,
-            "{family}: grain must merge Mazurkiewicz classes ({} vs {})",
-            grain.schedules,
+            nf.schedules < maz.schedules,
+            "{family}: normal-form must merge Mazurkiewicz classes ({} vs {})",
+            nf.schedules,
             maz.schedules
         );
     }
@@ -1585,7 +1576,7 @@ pub const MAX_REDUNDANCY_REGRESSION: f64 = 0.01;
 pub struct EquivRegressionCheck {
     /// Workload label.
     pub workload: String,
-    /// Strategy label (`mazurkiewicz` / `normal-form` / `grain`).
+    /// Strategy label (`mazurkiewicz` / `normal-form`).
     pub strategy: String,
     /// Schedules-per-order ratio recorded in the committed baseline.
     pub committed_redundancy: f64,
@@ -1705,8 +1696,8 @@ pub fn check_equiv_against(
                 // the strategy beats the sleep-set baseline by ≥ 2× and
                 // the baseline side is slow enough to time reliably.
                 // Everything else (µs-scale fixtures, and the small dense
-                // workloads where grain's closure upkeep is intentionally
-                // slower than sleep sets) gates on counts alone.
+                // workloads where sleep sets keep up) gates on counts
+                // alone.
                 if strategy != "mazurkiewicz" && committed_maz >= 20.0 && committed_speedup >= 2.0 {
                     let floor = committed_speedup / (1.0 + MAX_TIME_REGRESSION);
                     if check.current_speedup < floor {
@@ -2525,22 +2516,19 @@ mod tests {
         let mode = FeasibilityMode::PreserveDependences;
         let (maz, maz_fps) = e17_point("pwc", &exec, mode, EquivStrategy::Mazurkiewicz, 1 << 20);
         let (nf, nf_fps) = e17_point("pwc", &exec, mode, EquivStrategy::NormalForm, 1 << 20);
-        let (grain, grain_fps) = e17_point("pwc", &exec, mode, EquivStrategy::Grain, 1 << 20);
         assert_eq!(maz_fps, nf_fps, "normal-form must report the same F(P)");
-        assert_eq!(maz_fps, grain_fps, "grain must report the same F(P)");
         assert_eq!(nf.schedules, nf.orders, "perfect pruning");
-        assert_eq!(grain.schedules, grain.orders, "perfect pruning");
         assert!(maz.schedules > maz.orders, "the baseline is redundant here");
 
         let pitfall = pitfall_exec(6);
         let imode = FeasibilityMode::IgnoreDependences;
         let (pm, _) = e17_point("p6", &pitfall, imode, EquivStrategy::Mazurkiewicz, 1 << 20);
-        let (pg, _) = e17_point("p6", &pitfall, imode, EquivStrategy::Grain, 1 << 20);
+        let (pn, _) = e17_point("p6", &pitfall, imode, EquivStrategy::NormalForm, 1 << 20);
         assert!(
-            pg.schedules < pm.schedules,
-            "grain must merge Mazurkiewicz classes on the E9 family"
+            pn.schedules < pm.schedules,
+            "normal-form must merge Mazurkiewicz classes on the E9 family"
         );
-        assert!((pg.redundancy() - 1.0).abs() < f64::EPSILON);
+        assert!((pn.redundancy() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

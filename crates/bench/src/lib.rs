@@ -1,7 +1,6 @@
 //! The experiment harness: one function per experiment of DESIGN.md's
-//! index (E1–E9), shared between the `report` binary (which prints the
-//! tables recorded in EXPERIMENTS.md) and the criterion benches (which
-//! time the same computations).
+//! index (E1–E20), run and timed by the `report` binary, which prints the
+//! tables recorded in EXPERIMENTS.md (`report -- eN` for one experiment).
 //!
 //! The paper has no empirical section — its "results" are Table 1, Figure
 //! 1, and four theorems — so each experiment here is the *executable*

@@ -314,7 +314,7 @@ mod tests {
     fn full_config_round_trips_and_echoes() {
         let cfg = EngineConfig {
             mode: FeasibilityMode::IgnoreDependences,
-            equiv: EquivStrategy::Grain,
+            equiv: EquivStrategy::NormalForm,
             backend: QueryBackend::Sat,
             static_prefilter: true,
             timeout_ms: Some(1000),
@@ -357,7 +357,7 @@ mod tests {
             "--config",
             path.to_str().unwrap(),
             "--equiv",
-            "grain",
+            "mazurkiewicz",
             "--max-states",
             "7",
             "--ignore-deps",
@@ -368,7 +368,7 @@ mod tests {
         let cfg = EngineConfig::from_cli(&args).expect("parses");
         std::fs::remove_file(&path).ok();
         // Flags win where present...
-        assert_eq!(cfg.equiv, EquivStrategy::Grain);
+        assert_eq!(cfg.equiv, EquivStrategy::Mazurkiewicz);
         assert_eq!(cfg.max_states, Some(7));
         assert_eq!(cfg.mode, FeasibilityMode::IgnoreDependences);
         // ...and the file's choice survives where they are absent.
@@ -378,6 +378,8 @@ mod tests {
         // A missing file or bad flag value fails loudly.
         assert!(EngineConfig::from_cli(&["--config".into(), "/nonexistent.json".into()]).is_err());
         assert!(EngineConfig::from_cli(&["--timeout".into(), "soon".into()]).is_err());
+        let err = EngineConfig::from_cli(&["--equiv".into(), "grain".into()]).unwrap_err();
+        assert!(err.contains("mazurkiewicz|normal-form)"), "{err}");
     }
 
     #[test]
@@ -393,6 +395,7 @@ mod tests {
     #[test]
     fn unknown_keys_and_bad_values_are_rejected() {
         assert!(EngineConfig::from_json_str(r#"{"equivv": "nf"}"#).is_err());
+        assert!(EngineConfig::from_json_str(r#"{"equiv": "grain"}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"mode": "both"}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"timeout_ms": -1}"#).is_err());
         assert!(EngineConfig::from_json_str(r#"{"static_prefilter": "yes"}"#).is_err());

@@ -4,12 +4,10 @@ use crate::api::{Answer, EngineOptions, Query, Response};
 use crate::budget::Budget;
 use crate::ctx::{FeasibilityMode, SearchCtx};
 use crate::degraded::DegradedSummary;
-use crate::enumerate::{
-    enumerate_classes_budgeted_with, enumerate_classes_with, EnumerationResult,
-};
+use crate::enumerate::{enumerate_classes_budgeted_with, EnumerationResult};
 use crate::equiv::EquivStrategy;
 use crate::queries::QuerySession;
-use crate::statespace::{self, explore_statespace};
+use crate::statespace;
 use crate::summary::OrderingSummary;
 use eo_model::{EventId, ProgramExecution};
 
@@ -202,20 +200,6 @@ impl<'a> ExactEngine<'a> {
     /// deadline, memory, or cancellation when a [`Budget`] is attached).
     pub fn try_summary(&self) -> Result<OrderingSummary, EngineError> {
         eo_obs::span!("engine.try_summary");
-        if self.opts.budget.is_none() {
-            // Cap-only fast path: no checkpoint calls in the hot loops.
-            let space = explore_statespace(&self.ctx, self.opts.limits.max_states)?;
-            let classes =
-                enumerate_classes_with(&self.ctx, self.opts.limits.max_schedules, self.opts.equiv);
-            if classes.truncated {
-                return Err(EngineError::ScheduleBudgetExceeded {
-                    limit: self.opts.limits.max_schedules,
-                });
-            }
-            let summary = OrderingSummary::from_parts(&space, &classes);
-            debug_assert_eq!(summary.check_identities(), Ok(()));
-            return Ok(summary);
-        }
         let budget = self.effective_budget();
         let space = statespace::explore_statespace_budgeted(&self.ctx, &budget)?;
         let (classes, stopped) =
@@ -302,16 +286,6 @@ impl<'a> ExactEngine<'a> {
 
     /// Enumerates F(P) (the distinct induced partial orders).
     pub fn feasible_set(&self) -> Result<EnumerationResult, EngineError> {
-        if self.opts.budget.is_none() {
-            let r =
-                enumerate_classes_with(&self.ctx, self.opts.limits.max_schedules, self.opts.equiv);
-            if r.truncated {
-                return Err(EngineError::ScheduleBudgetExceeded {
-                    limit: self.opts.limits.max_schedules,
-                });
-            }
-            return Ok(r);
-        }
         let (r, stopped) =
             enumerate_classes_budgeted_with(&self.ctx, &self.effective_budget(), self.opts.equiv);
         match stopped {

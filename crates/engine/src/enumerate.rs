@@ -15,15 +15,14 @@
 //!   same-semaphore and same-event-variable operations within a class, so
 //!   the canonical induced-order extraction of [`eo_model::induce`] is
 //!   class-invariant.
-//! * [`EquivStrategy::NormalForm`] / [`EquivStrategy::Grain`] — memoized
-//!   quotient-graph DFS: a prefix is extended only if it is the first
-//!   (least, children in event-index order) path to reach its canonical
-//!   node — the future-relevant synchronization state of
-//!   [`crate::equiv::ScanState`] combined with either the raw pairing
-//!   history (normal-form) or the closed induced relation (grain). These
-//!   never use sleep sets: memoization plus history-dependent pruning is
-//!   unsound, so canonical search explores every enabled event at each
-//!   *fresh* node and prunes only exact revisits.
+//! * [`EquivStrategy::NormalForm`] — memoized quotient-graph DFS: a
+//!   prefix is extended only if it is the first (least, children in
+//!   event-index order) path to reach its canonical node — the
+//!   future-relevant synchronization state of [`crate::equiv::ScanState`]
+//!   combined with the raw pairing history. It never uses sleep sets:
+//!   memoization plus history-dependent pruning is unsound, so canonical
+//!   search explores every enabled event at each *fresh* node and prunes
+//!   only exact revisits.
 //! * [`enumerate_naive`] — the same search with no pruning: every
 //!   interleaving. Used as the ground-truth oracle in tests and as the
 //!   ablation baseline (DESIGN.md §5); all strategies must produce the
@@ -39,9 +38,8 @@
 //! from-scratch [`SearchCtx::induced_order`] leaf as the reference. The
 //! visit order is the same as with from-scratch leaves, so
 //! `schedules_explored`, `pruned_branches`, the truncation point and the
-//! `orders` sequence are too. Machine states, sleep sets and grain's
-//! closed relations are pooled per depth: in steady state the search
-//! allocates only for a new order.
+//! `orders` sequence are too. Machine states and sleep sets are pooled
+//! per depth: in steady state the search allocates only for a new order.
 //!
 //! All variants deduplicate induced orders — by 128-bit matrix
 //! fingerprint ([`eo_relations::Relation::fingerprint128`]), with the
@@ -53,9 +51,7 @@
 use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
-use crate::equiv::{
-    closed_hash, closed_insert, combine_key, CanonMode, EquivStrategy, ScanState, ScanUndo,
-};
+use crate::equiv::{closed_insert, combine_key, EquivStrategy, ScanState, ScanUndo};
 use eo_model::{induce, EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashSet;
 use eo_relations::{closure, BitSet, Relation};
@@ -68,7 +64,7 @@ pub struct EnumerationResult {
     pub orders: Vec<Relation>,
     /// Complete schedules visited (≥ `orders.len()`; equality means the
     /// pruning was perfect for this input). Under the canonical
-    /// strategies this counts distinct complete canonical nodes — each is
+    /// strategy this counts distinct complete canonical nodes — each is
     /// reached exactly once.
     pub schedules_explored: usize,
     /// True iff the search stopped at the schedule budget; the relation
@@ -79,7 +75,7 @@ pub struct EnumerationResult {
     /// no pruning; it is only reachable via [`enumerate_naive`]).
     pub strategy: EquivStrategy,
     /// Branches the strategy pruned: sleep-set skips (Mazurkiewicz) or
-    /// canonical-prefix memo hits (normal-form/grain). The
+    /// canonical-prefix memo hits (normal-form). The
     /// `enumerate.sleep_prunes` metric.
     pub pruned_branches: usize,
 }
@@ -134,8 +130,6 @@ struct Enumerator<'c, 'a> {
     ctx: &'c SearchCtx<'a>,
     max_schedules: usize,
     use_sleep: bool,
-    /// Canonical-search mode (`None` = plain schedule DFS).
-    canon: Option<CanonMode>,
     schedule: Vec<EventId>,
     seen: SeenKeys,
     orders: Vec<Relation>,
@@ -184,13 +178,10 @@ struct Enumerator<'c, 'a> {
     leaf: Relation,
     /// Scratch successor row for `closed_insert`.
     row_scratch: BitSet,
-    // --- canonical-search state (engaged iff `canon.is_some()`) ---
+    // --- canonical-search state (engaged for normal-form) ---
     /// Canonical nodes already fully explored (or currently on the DFS
     /// path, which cannot recur — progress strictly increases).
     visited: FxHashSet<u128>,
-    /// For [`CanonMode::ClosedRelation`]: `closed[d]` is the closed
-    /// induced relation of the first `d` events of `schedule`.
-    closed: Vec<Relation>,
 }
 
 impl Enumerator<'_, '_> {
@@ -220,18 +211,11 @@ impl Enumerator<'_, '_> {
         if !self.edge_sets.insert(scan.edge_key(), edge_set) {
             return;
         }
-        let order = match self.canon {
-            // The closed-relation search already maintains exactly this
-            // order along the path.
-            Some(CanonMode::ClosedRelation) => &self.closed[self.schedule.len()],
-            _ => {
-                self.leaf.clone_from(&self.closed_base);
-                for &(a, b) in edges {
-                    closed_insert(&mut self.leaf, a.index(), b.index(), &mut self.row_scratch);
-                }
-                &self.leaf
-            }
-        };
+        self.leaf.clone_from(&self.closed_base);
+        for &(a, b) in edges {
+            closed_insert(&mut self.leaf, a.index(), b.index(), &mut self.row_scratch);
+        }
+        let order = &self.leaf;
         debug_assert_eq!(
             *order,
             self.ctx.induced_order(&self.schedule),
@@ -327,24 +311,20 @@ impl Enumerator<'_, '_> {
         self.enabled_pool.push(enabled);
     }
 
-    /// Memoized quotient-graph DFS for the canonical strategies. No sleep
+    /// Memoized quotient-graph DFS for the canonical strategy. No sleep
     /// sets (unsound under memoization); instead, a node reached a second
-    /// time — same future-relevant machine/scan state and same ordering
-    /// content — is pruned wholesale. Children are tried in event-index
+    /// time — same future-relevant machine/scan state and same pairing
+    /// history — is pruned wholesale. Children are tried in event-index
     /// order, so the surviving representative of every canonical node is
     /// the lexicographically least path to it.
-    fn explore_canon(&mut self, mode: CanonMode) {
+    fn explore_canon(&mut self) {
         if !self.proceed() {
             return;
         }
         let depth = self.schedule.len();
         let st = &self.states[depth];
         let scan = self.scan.as_ref().expect("canonical search seeds the scan");
-        let ordering_hash = match mode {
-            CanonMode::PairingHistory => scan.edge_hash(),
-            CanonMode::ClosedRelation => closed_hash(&self.closed[depth]),
-        };
-        let key = combine_key(scan.state_key(st), ordering_hash);
+        let key = combine_key(scan.state_key(st), scan.edge_hash());
         if !self.visited.insert(key) {
             self.pruned_branches += 1;
             return;
@@ -357,14 +337,7 @@ impl Enumerator<'_, '_> {
         self.ctx.co_enabled_into(st, &mut enabled);
         for &(p, e) in &enabled {
             let undo = self.descend(p, e);
-            if let (CanonMode::ClosedRelation, Some((_, mark))) = (mode, undo) {
-                let (cur, next) = self.closed.split_at_mut(depth + 1);
-                next[0].clone_from(&cur[depth]);
-                for &(a, b) in &self.edge_stack[mark..] {
-                    closed_insert(&mut next[0], a.index(), b.index(), &mut self.row_scratch);
-                }
-            }
-            self.explore_canon(mode);
+            self.explore_canon();
             self.ascend(undo);
             if self.truncated || self.stopped.is_some() {
                 break;
@@ -390,12 +363,8 @@ fn run(
 ) -> (EnumerationResult, Option<EngineError>) {
     let n = ctx.n_events();
     eo_obs::span!("engine.enumerate");
-    let canon = if config.prune {
-        config.strategy.canonical()
-    } else {
-        None
-    };
-    let use_sleep = config.prune && canon.is_none();
+    let canon = config.prune && config.strategy.canonical();
+    let use_sleep = config.prune && !canon;
     let trace = ctx.exec().trace();
 
     // Schedule-independent work, once per enumeration.
@@ -423,23 +392,17 @@ fn run(
     } else {
         Relation::new(0)
     };
-    let closed = if canon == Some(CanonMode::ClosedRelation) {
-        vec![closed_base.clone(); n + 1]
-    } else {
-        Vec::new()
-    };
     // None of the above ever grows: the memory budget counts it once.
     let leaf_matrices = if config.prune { 2 } else { 0 };
     let fixed_bytes = (n + 1) * initial.heap_bytes()
         + (sleeps.len() + dep.len()) * n.div_ceil(64) * size_of::<u64>()
-        + (closed.len() + leaf_matrices) * matrix_bytes(n)
+        + leaf_matrices * matrix_bytes(n)
         + scan.as_ref().map_or(0, ScanState::heap_bytes);
 
     let mut en = Enumerator {
         ctx,
         max_schedules,
         use_sleep,
-        canon,
         schedule: Vec::with_capacity(n),
         seen: SeenKeys::new(),
         orders: Vec::new(),
@@ -463,11 +426,11 @@ fn run(
         closed_base,
         row_scratch: BitSet::new(n),
         visited: FxHashSet::default(),
-        closed,
     };
-    match canon {
-        Some(mode) => en.explore_canon(mode),
-        None => en.explore(),
+    if canon {
+        en.explore_canon();
+    } else {
+        en.explore();
     }
     // Once per enumeration, never per DFS step: the ≤2% overhead budget
     // rules out probes inside the search itself.
@@ -588,18 +551,16 @@ mod tests {
             "sleep-set pruning must not change F(P)"
         );
         assert!(r.schedules_explored <= naive.schedules_explored);
-        // And every coarser strategy agrees too, visiting no more
-        // schedules than it has orders... at most the baseline explored.
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let coarse = enumerate_classes_with(&ctx, 1 << 20, strategy);
-            assert!(!coarse.truncated);
-            assert_eq!(
-                sorted_orders(&coarse),
-                sorted_orders(&naive),
-                "{strategy} changed F(P)"
-            );
-            assert!(coarse.schedules_explored <= naive.schedules_explored);
-        }
+        // And the coarser strategy agrees too, visiting at most the
+        // schedules the oracle explored.
+        let coarse = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+        assert!(!coarse.truncated);
+        assert_eq!(
+            sorted_orders(&coarse),
+            sorted_orders(&naive),
+            "normal-form changed F(P)"
+        );
+        assert!(coarse.schedules_explored <= naive.schedules_explored);
         r
     }
 
@@ -708,8 +669,8 @@ mod tests {
         assert!(pruned.pruned_branches > 0, "the skips are counted");
     }
 
-    /// The headline property of the canonical strategies: on the fixture
-    /// gallery they visit exactly one complete schedule per element of
+    /// The headline property of the canonical strategy: on the fixture
+    /// gallery it visits exactly one complete schedule per element of
     /// F(P) — `schedules_explored == orders.len()` — where sleep sets
     /// leave redundancy (post_wait_clear_chain: 18 Mazurkiewicz classes,
     /// 10 orders).
@@ -727,33 +688,25 @@ mod tests {
         for trace in &gallery {
             let exec = trace.to_execution().unwrap();
             let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-            for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-                let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-                assert!(!r.truncated);
-                assert_eq!(
-                    r.schedules_explored,
-                    r.orders.len(),
-                    "{strategy}: imperfect pruning"
-                );
-            }
+            let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+            assert!(!r.truncated);
+            assert_eq!(r.schedules_explored, r.orders.len(), "imperfect pruning");
         }
     }
 
     #[test]
     fn canonical_strategies_beat_sleep_sets_on_pairing_redundancy() {
         // 18 sleep-set schedules vs 10 orders on post_wait_clear_chain;
-        // both canonical strategies must close the gap entirely.
+        // the canonical strategy must close the gap entirely.
         let (trace, _ids) = fixtures::post_wait_clear_chain();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
         let maz = enumerate_classes(&ctx, 1 << 20);
         assert_eq!(maz.schedules_explored, 18);
         assert_eq!(maz.orders.len(), 10);
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-            assert_eq!(r.schedules_explored, 10, "{strategy}");
-            assert_eq!(sorted_orders(&r), sorted_orders(&maz), "{strategy}");
-        }
+        let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+        assert_eq!(r.schedules_explored, 10);
+        assert_eq!(sorted_orders(&r), sorted_orders(&maz));
     }
 
     /// IgnoreDependences flips enabledness and the induced →D content;
@@ -768,11 +721,9 @@ mod tests {
             let exec = trace.to_execution().unwrap();
             let ctx = SearchCtx::new(&exec, FeasibilityMode::IgnoreDependences);
             let base = enumerate_classes(&ctx, 1 << 20);
-            for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-                let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-                assert_eq!(sorted_orders(&r), sorted_orders(&base), "{strategy}");
-                assert!(r.schedules_explored <= base.schedules_explored);
-            }
+            let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+            assert_eq!(sorted_orders(&r), sorted_orders(&base));
+            assert!(r.schedules_explored <= base.schedules_explored);
         }
     }
 
@@ -783,13 +734,11 @@ mod tests {
         let (trace, _ids) = fixtures::post_wait_clear_chain();
         let exec = trace.to_execution().unwrap();
         let ctx = SearchCtx::new(&exec, FeasibilityMode::PreserveDependences);
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let r = enumerate_classes_with(&ctx, 3, strategy);
-            assert!(r.truncated, "{strategy}: 10 complete nodes > cap 3");
-            assert_eq!(r.schedules_explored, 3);
-            // Complete-at-cap is not truncation.
-            let exact = enumerate_classes_with(&ctx, 10, strategy);
-            assert!(!exact.truncated, "{strategy}");
-        }
+        let r = enumerate_classes_with(&ctx, 3, EquivStrategy::NormalForm);
+        assert!(r.truncated, "10 complete nodes > cap 3");
+        assert_eq!(r.schedules_explored, 3);
+        // Complete-at-cap is not truncation.
+        let exact = enumerate_classes_with(&ctx, 10, EquivStrategy::NormalForm);
+        assert!(!exact.truncated);
     }
 }

@@ -4,7 +4,7 @@
 //! set F(P); how fast that is in practice is entirely a question of *which
 //! schedules the search can afford not to visit*. This module makes the
 //! equivalence the enumerator quotients by a pluggable [`EquivStrategy`],
-//! with three variants:
+//! with two variants:
 //!
 //! * [`EquivStrategy::Mazurkiewicz`] — the baseline: depth-first search
 //!   with Godefroid sleep sets over the static independence relation.
@@ -25,29 +25,20 @@
 //!   exactly once, so `schedules_explored` equals the number of distinct
 //!   pairing histories — on the fixture gallery exactly `orders.len()`.
 //!
-//! * [`EquivStrategy::Grain`] — the Farzan–Mathur-style coarsening: the
-//!   same canonical search, but the pairing-history component of the key
-//!   is replaced by the **transitively closed relation** the prefix has
-//!   induced so far (base edges ∪ pairing edges, closed). This merges
-//!   Mazurkiewicz classes — and normal-form nodes — that induce the same
-//!   closed relation answers even when their raw pairing edges differ, so
-//!   a complete schedule is explored per *element of F(P)*: perfect
-//!   pruning by construction.
-//!
 //! # Soundness
 //!
-//! The two canonical strategies never combine memoization with
+//! The canonical strategy never combines memoization with
 //! history-dependent pruning (sleep sets or a static normal-form test on
 //! the word) — that combination is the classic stateful-POR unsoundness:
 //! a memo hit would trust a subtree that was only partially explored
-//! *relative to the new incoming history*. Instead they explore **all**
-//! enabled events at every fresh node and prune only exact revisits of a
+//! *relative to the new incoming history*. Instead it explores **all**
+//! enabled events at every fresh node and prunes only exact revisits of a
 //! canonical node. Soundness then reduces to the key being *future-deciding*:
 //! two prefixes with equal keys must have (a) the same set of feasible
 //! completions and (b) completions inducing the same orders. See
 //! [`ScanState::state_key`] for the component-by-component argument,
 //! and DESIGN.md §12 for the full version. The differential suite pins the
-//! conclusion: all three strategies (and the unpruned oracle) must produce
+//! conclusion: both strategies (and the unpruned oracle) must produce
 //! bit-identical order sets on every fixture, both E9 families, and seeded
 //! generated programs, in both feasibility modes.
 
@@ -70,40 +61,27 @@ pub enum EquivStrategy {
     /// Canonical-representative generation over pairing histories: only
     /// the least representative of each canonical prefix is extended.
     NormalForm,
-    /// Closed-relation (reads-from grain) coarsening: canonical search
-    /// keyed on the closed induced relation itself.
-    Grain,
 }
 
 impl EquivStrategy {
     /// All strategies, baseline first — the order ablations report in.
-    pub const ALL: [EquivStrategy; 3] = [
-        EquivStrategy::Mazurkiewicz,
-        EquivStrategy::NormalForm,
-        EquivStrategy::Grain,
-    ];
+    pub const ALL: [EquivStrategy; 2] = [EquivStrategy::Mazurkiewicz, EquivStrategy::NormalForm];
 
     /// Stable machine-readable name (CLI value, metrics label, JSON key).
     pub fn label(self) -> &'static str {
         match self {
             EquivStrategy::Mazurkiewicz => "mazurkiewicz",
             EquivStrategy::NormalForm => "normal-form",
-            EquivStrategy::Grain => "grain",
         }
     }
 
-    /// The canonical-form check: `Some(mode)` switches the enumerator to
-    /// the memoized quotient-graph search with prefixes canonicalized per
-    /// `mode`; `None` keeps the plain schedule DFS pruned by sleep sets.
-    /// Sleep sets and canonical memoization never combine — history-
-    /// dependent pruning under prefix memoization is unsound (see the
-    /// module docs).
-    pub fn canonical(self) -> Option<CanonMode> {
-        match self {
-            EquivStrategy::Mazurkiewicz => None,
-            EquivStrategy::NormalForm => Some(CanonMode::PairingHistory),
-            EquivStrategy::Grain => Some(CanonMode::ClosedRelation),
-        }
+    /// The canonical-form check: `true` switches the enumerator to the
+    /// memoized quotient-graph search keyed on pairing histories; `false`
+    /// keeps the plain schedule DFS pruned by sleep sets. Sleep sets and
+    /// canonical memoization never combine — history-dependent pruning
+    /// under prefix memoization is unsound (see the module docs).
+    pub fn canonical(self) -> bool {
+        self == EquivStrategy::NormalForm
     }
 }
 
@@ -120,24 +98,12 @@ impl FromStr for EquivStrategy {
         match s {
             "mazurkiewicz" | "maz" => Ok(EquivStrategy::Mazurkiewicz),
             "normal-form" | "nf" => Ok(EquivStrategy::NormalForm),
-            "grain" => Ok(EquivStrategy::Grain),
             other => Err(format!(
                 "unknown equivalence strategy `{other}` \
-                 (expected mazurkiewicz|normal-form|grain)"
+                 (expected mazurkiewicz|normal-form)"
             )),
         }
     }
-}
-
-/// How a canonical strategy summarizes the ordering content of a prefix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CanonMode {
-    /// Key on the raw set of pairing edges emitted so far.
-    PairingHistory,
-    /// Key on the transitively closed induced relation so far (base ∪
-    /// pairing edges, closed). Coarser: prefixes whose distinct raw edges
-    /// close to the same relation merge.
-    ClosedRelation,
 }
 
 // ------------------------------------------------------------------------
@@ -177,7 +143,7 @@ enum UndoKind {
 /// The incremental mirror of [`eo_model::induce::induced_edges`]'s scan:
 /// per-semaphore FIFO token queues and per-event-variable causality state,
 /// maintained with O(1)-amortized apply/undo along the enumeration DFS,
-/// plus bookkeeping that lets the canonical strategies hash only the
+/// plus bookkeeping that lets the canonical strategy hash only the
 /// *future-relevant* projection of that state:
 ///
 /// * token queues are hashed truncated to their first `remaining_P(s)`
@@ -400,8 +366,8 @@ impl ScanState {
         }
     }
 
-    /// 64-bit XOR hash of the pairing edges emitted so far (the
-    /// [`CanonMode::PairingHistory`] ordering component): the low lane of
+    /// 64-bit XOR hash of the pairing edges emitted so far (the ordering
+    /// component of the canonical key): the low lane of
     /// [`ScanState::edge_key`].
     #[inline]
     pub fn edge_hash(&self) -> u64 {
@@ -419,9 +385,8 @@ impl ScanState {
     }
 
     /// The future-relevant canonical key of `(st, self)`, **excluding**
-    /// the ordering component (callers fold in either
-    /// [`ScanState::edge_hash`] or a closed-relation hash via
-    /// [`combine_key`]).
+    /// the ordering component (callers fold in [`ScanState::edge_hash`]
+    /// via [`combine_key`]).
     ///
     /// Soundness of every truncation, component by component:
     ///
@@ -499,15 +464,6 @@ pub fn combine_key(state_key: u128, ordering_hash: u64) -> u128 {
     let lo = mix64(ordering_hash ^ 0x4528_21E6_38D0_1377);
     let hi = mix64(ordering_hash ^ 0xBE54_66CF_34E9_0C6C);
     state_key ^ (((hi as u128) << 64) | lo as u128)
-}
-
-/// Hash of a closed relation's bit matrix (the
-/// [`CanonMode::ClosedRelation`] ordering component). Folds the 128-bit
-/// matrix fingerprint to one word; [`combine_key`] re-expands it.
-#[inline]
-pub fn closed_hash(rel: &Relation) -> u64 {
-    let fp = rel.fingerprint128();
-    (fp as u64) ^ ((fp >> 64) as u64)
 }
 
 /// Inserts `a → b` into the transitively closed `rel`, restoring closure:
@@ -632,6 +588,8 @@ mod tests {
             assert_eq!(s.label().parse::<EquivStrategy>().unwrap(), s);
         }
         assert!("bogus".parse::<EquivStrategy>().is_err());
+        let err = "grain".parse::<EquivStrategy>().unwrap_err();
+        assert!(err.contains("mazurkiewicz|normal-form)"), "{err}");
         assert_eq!(
             "maz".parse::<EquivStrategy>().unwrap(),
             EquivStrategy::Mazurkiewicz

@@ -28,8 +28,9 @@
 //! * [`enumerate`] — enumeration of the distinct induced orders of F(P),
 //!   quotienting schedules by a pluggable trace equivalence ([`equiv`]):
 //!   sleep-set pruned Mazurkiewicz classes (the default), or the coarser
-//!   canonical-representative searches (normal-form pairing histories,
-//!   closed-relation grains) that visit one schedule per element of F(P).
+//!   canonical-representative search over pairing histories
+//!   (normal-form), which visits one schedule per element of F(P) on
+//!   every committed workload.
 //!   The class-quantified relations (MCW, MOW, COW, and the induced
 //!   variant of CCW) are computed from this set.
 //!
@@ -84,9 +85,7 @@ pub use equiv::EquivStrategy;
 pub use faultpoint::{Fault, FaultPlan};
 pub use pool::run_tasks;
 pub use queries::{QueryMemo, QuerySession};
-pub use sat_backend::{
-    chb_via_sat, chb_via_sat_budgeted, mhb_via_sat, mhb_via_sat_budgeted, SatSession,
-};
+pub use sat_backend::{chb_via_sat, chb_via_sat_budgeted, mhb_via_sat, SatSession};
 pub use statespace::{
     explore_statespace, explore_statespace_baseline, explore_statespace_budgeted, StateSpaceResult,
 };

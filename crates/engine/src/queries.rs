@@ -745,11 +745,6 @@ pub fn could_happen_before(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool 
     QuerySession::new(ctx).could_happen_before(a, b)
 }
 
-/// One-shot [`QuerySession::witness_overlap`].
-pub fn witness_overlap(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> Option<Vec<EventId>> {
-    QuerySession::new(ctx).witness_overlap(a, b)
-}
-
 /// Decides operational `a CCW b` by witness search.
 pub fn could_be_concurrent(ctx: &SearchCtx<'_>, a: EventId, b: EventId) -> bool {
     QuerySession::new(ctx).could_be_concurrent(a, b)
@@ -802,7 +797,9 @@ mod tests {
         let (trace, ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
-        let prefix = witness_overlap(&ctx, ids.left, ids.right).expect("workers overlap");
+        let prefix = QuerySession::new(&ctx)
+            .witness_overlap(ids.left, ids.right)
+            .expect("workers overlap");
         // The prefix must be a valid partial schedule: replay it step by
         // step on the machine.
         let mut st = ctx.initial_state();
@@ -891,7 +888,7 @@ mod tests {
                 );
                 assert_eq!(
                     session.witness_overlap(ea, eb),
-                    witness_overlap(&ctx, ea, eb),
+                    QuerySession::new(&ctx).witness_overlap(ea, eb),
                     "witness_overlap({a},{b}) must not depend on session history"
                 );
             }

@@ -399,17 +399,6 @@ pub fn chb_via_sat_budgeted(
     result
 }
 
-/// [`mhb_via_sat`] under a supervisor [`Budget`]; see
-/// [`chb_via_sat_budgeted`].
-pub fn mhb_via_sat_budgeted(
-    ctx: &SearchCtx<'_>,
-    a: EventId,
-    b: EventId,
-    budget: &Budget,
-) -> Result<bool, EngineError> {
-    Ok(a != b && chb_via_sat_budgeted(ctx, b, a, budget)?.is_none())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

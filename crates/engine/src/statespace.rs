@@ -153,8 +153,7 @@ pub fn explore_statespace(
     ctx: &SearchCtx<'_>,
     max_states: usize,
 ) -> Result<StateSpaceResult, EngineError> {
-    let mut graph = build_graph(ctx, max_states)?;
-    Ok(finalize(ctx, &mut graph, true))
+    explore_statespace_budgeted(ctx, &Budget::unlimited().with_max_states(max_states))
 }
 
 /// Budgeted variant of [`explore_statespace`]: every [`Budget`] resource
@@ -188,13 +187,16 @@ pub(crate) struct PartialExploration {
     pub(crate) stopped: Option<EngineError>,
 }
 
-/// [`build_graph`] under a full [`Budget`]: checks the deadline / memory /
-/// cancel budget once per expanded node and the state cap per fresh
-/// state. On exhaustion the graph built so far is returned alongside the
-/// error instead of being discarded.
+/// Expands every reachable state exactly once into a [`StateGraph`],
+/// checking the deadline / memory / cancel budget once per expanded node
+/// and the state cap per fresh state. On exhaustion the graph built so
+/// far is returned alongside the error instead of being discarded.
 pub(crate) fn build_graph_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> PartialExploration {
     eo_obs::span!("engine.build_graph");
     let mut graph = StateGraph::seeded(ctx);
+    // One scratch state walks every lattice edge: `clone_from` reuses its
+    // buffers and `intern_ref` clones only on a fresh insert, so the
+    // expansion loop allocates per *state*, never per edge.
     let mut scratch = ctx.initial_state();
     // O(1) running storage estimate (`approx_bytes` is O(nodes), far too
     // slow for a per-checkpoint call): arena payload per state plus the
@@ -232,48 +234,6 @@ pub(crate) fn build_graph_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> Part
                     succs: Vec::new(),
                     completable: false,
                 });
-                let row = graph.executed.push_row_copy(cursor);
-                debug_assert_eq!(row, id.index());
-                graph.executed.set(row, e.index());
-            }
-            graph.nodes[cursor].succs.push(id.index() as u32);
-        }
-        cursor += 1;
-    }
-    graph.emit_metrics();
-    PartialExploration { graph, stopped }
-}
-
-/// Expands every reachable state exactly once into a [`StateGraph`].
-pub(crate) fn build_graph(
-    ctx: &SearchCtx<'_>,
-    max_states: usize,
-) -> Result<StateGraph, EngineError> {
-    eo_obs::span!("engine.build_graph");
-    let mut graph = StateGraph::seeded(ctx);
-    // One scratch state walks every lattice edge: `clone_from` reuses its
-    // buffers and `intern_ref` clones only on a fresh insert, so the
-    // expansion loop allocates per *state*, never per edge.
-    let mut scratch = ctx.initial_state();
-    let mut cursor = 0;
-    while cursor < graph.nodes.len() {
-        let parent_fp = graph.table.fingerprint(StateId::new(cursor));
-        for k in 0..graph.nodes[cursor].enabled.len() {
-            let (p, e) = graph.nodes[cursor].enabled[k];
-            scratch.clone_from(graph.table.get(StateId::new(cursor)));
-            let mut fp = parent_fp;
-            ctx.apply_keyed(&mut scratch, p, e, &mut fp);
-            let (id, fresh) = graph.table.intern_ref_keyed(&scratch, fp);
-            if fresh {
-                if graph.nodes.len() >= max_states {
-                    return Err(EngineError::StateSpaceExceeded { limit: max_states });
-                }
-                debug_assert_eq!(id.index(), graph.nodes.len());
-                graph.nodes.push(Node {
-                    enabled: ctx.co_enabled(graph.table.get(id)),
-                    succs: Vec::new(),
-                    completable: false,
-                });
                 // The successor executed exactly one more event than its
                 // parent: inherit the row, add one bit.
                 let row = graph.executed.push_row_copy(cursor);
@@ -285,7 +245,7 @@ pub(crate) fn build_graph(
         cursor += 1;
     }
     graph.emit_metrics();
-    Ok(graph)
+    PartialExploration { graph, stopped }
 }
 
 /// Completability back-propagation plus pairwise-fact accumulation over an
@@ -446,10 +406,10 @@ struct BaselineNode {
 }
 
 /// The pre-overhaul sequential explorer, kept verbatim as the ablation
-/// baseline (`benches/ablation_interning.rs`) and the differential-test
-/// oracle: a clone-keyed `FxHashMap<MachState, usize>` index (every state
-/// stored twice), per-state executed sets rebuilt by O(n) machine
-/// queries, and overlap probes that clone + 2×step + hash-look-up.
+/// baseline (`report -- e12`) and the differential-test oracle: a
+/// clone-keyed `FxHashMap<MachState, usize>` index (every state stored
+/// twice), per-state executed sets rebuilt by O(n) machine queries, and
+/// overlap probes that clone + 2×step + hash-look-up.
 ///
 /// Semantically identical to [`explore_statespace`] — the differential
 /// suite asserts bit-equality of every relation and count on every

@@ -10,9 +10,9 @@
 //! and the random semaphore workloads race detection sweeps).
 //!
 //! The same contract covers the trace-equivalence strategies: however
-//! coarsely `normal-form` and `grain` quotient the schedule space, the
-//! set of induced orders — and every summary relation built from it —
-//! must be bit-identical to the sleep-set Mazurkiewicz baseline.
+//! coarsely `normal-form` quotients the schedule space, the set of
+//! induced orders — and every summary relation built from it — must be
+//! bit-identical to the sleep-set Mazurkiewicz baseline.
 //!
 //! And it covers the incremental enumeration leaves: the sleep-set search
 //! that closes each pairing-edge set once must visit, count, truncate and
@@ -100,11 +100,9 @@ fn assert_queries_agree(exec: &ProgramExecution, mode: FeasibilityMode, space: &
     }
 }
 
-/// Enumerates F(P) under every equivalence strategy and asserts the
-/// order sets — and the summaries built from them — are bit-identical to
-/// the Mazurkiewicz baseline. Grain's canonical key *is* the induced
-/// order, so its perfect pruning (one schedule per order) is asserted
-/// unconditionally.
+/// Enumerates F(P) under `normal-form` and asserts the order set — and
+/// the summary built from it — is bit-identical to the Mazurkiewicz
+/// baseline.
 fn assert_strategies_agree(exec: &ProgramExecution, mode: FeasibilityMode) {
     let ctx = SearchCtx::new(exec, mode);
     let base = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::Mazurkiewicz);
@@ -113,39 +111,30 @@ fn assert_strategies_agree(exec: &ProgramExecution, mode: FeasibilityMode) {
     let old = OrderingSummary::from_parts(&space, &base);
     let mut base_fps: Vec<u128> = base.orders.iter().map(|o| o.fingerprint128()).collect();
     base_fps.sort_unstable();
-    for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-        let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-        assert!(!r.truncated, "{strategy}");
-        let mut fps: Vec<u128> = r.orders.iter().map(|o| o.fingerprint128()).collect();
-        fps.sort_unstable();
-        assert_eq!(base_fps, fps, "{strategy}: F(P) differs from baseline");
-        assert!(
-            r.schedules_explored <= base.schedules_explored,
-            "{strategy}: coarsening must not explore more schedules"
-        );
-        if strategy == EquivStrategy::Grain {
-            assert_eq!(
-                r.schedules_explored,
-                r.orders.len(),
-                "grain: one schedule per induced order"
-            );
-        }
-        let new = OrderingSummary::from_parts(&space, &r);
-        assert_eq!(old.mhb_relation(), new.mhb_relation(), "{strategy}: mhb");
-        assert_eq!(old.chb_relation(), new.chb_relation(), "{strategy}: chb");
-        assert_eq!(old.ccw_relation(), new.ccw_relation(), "{strategy}: ccw");
-        assert_eq!(
-            old.ccw_induced_relation(),
-            new.ccw_induced_relation(),
-            "{strategy}: ccw_induced"
-        );
-        assert_eq!(
-            old.all_ordered_relation(),
-            new.all_ordered_relation(),
-            "{strategy}: all_ordered"
-        );
-        assert_eq!(old.class_count(), new.class_count(), "{strategy}: classes");
-    }
+    let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+    assert!(!r.truncated);
+    let mut fps: Vec<u128> = r.orders.iter().map(|o| o.fingerprint128()).collect();
+    fps.sort_unstable();
+    assert_eq!(base_fps, fps, "F(P) differs from baseline");
+    assert!(
+        r.schedules_explored <= base.schedules_explored,
+        "coarsening must not explore more schedules"
+    );
+    let new = OrderingSummary::from_parts(&space, &r);
+    assert_eq!(old.mhb_relation(), new.mhb_relation(), "mhb");
+    assert_eq!(old.chb_relation(), new.chb_relation(), "chb");
+    assert_eq!(old.ccw_relation(), new.ccw_relation(), "ccw");
+    assert_eq!(
+        old.ccw_induced_relation(),
+        new.ccw_induced_relation(),
+        "ccw_induced"
+    );
+    assert_eq!(
+        old.all_ordered_relation(),
+        new.all_ordered_relation(),
+        "all_ordered"
+    );
+    assert_eq!(old.class_count(), new.class_count(), "classes");
 }
 
 fn fixture_traces() -> Vec<eo_model::Trace> {

@@ -104,7 +104,7 @@ fn main() -> ExitCode {
                  eo serve <trace.json> [--batch <requests.json>] [--threads <n>]\n      \
                  [--config <file.json>] [--timeout <ms>] [--max-mem <bytes>] [--max-states <n>]\n      \
                  [--no-cache] [--no-prefilter] [--static-prefilter] [--ignore-deps]\n      \
-                 [--backend exact|sat] [--equiv mazurkiewicz|normal-form|grain]\n      \
+                 [--backend exact|sat] [--equiv mazurkiewicz|normal-form]\n      \
                  [--metrics-out <file>]\n  \
                  eo races <trace.json>\n  eo sat <n_vars> <n_clauses> <seed> [--events]\n  \
                  eo lint <trace.json>... [--json] [--mhp] [--deny error|warning|info] \

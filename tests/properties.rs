@@ -204,38 +204,30 @@ proptest! {
         );
     }
 
-    /// Every trace-equivalence strategy enumerates the same F(P), hence
-    /// the same six-relation summary — and the canonical strategies do it
-    /// with exactly one schedule per induced order.
+    /// Both trace-equivalence strategies enumerate the same F(P), hence
+    /// the same six-relation summary — and the canonical one does it with
+    /// exactly one schedule per induced order.
     #[test]
     fn equivalence_strategies_summarize_identically(spec in small_spec()) {
         let exec = exec_of(&spec);
         let base = ExactEngine::new(&exec).summary();
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let s = ExactEngine::new(&exec).with_equiv(strategy).summary();
-            prop_assert_eq!(base.mhb_relation(), s.mhb_relation(), "{}", strategy);
-            prop_assert_eq!(base.chb_relation(), s.chb_relation(), "{}", strategy);
-            prop_assert_eq!(base.ccw_relation(), s.ccw_relation(), "{}", strategy);
-            prop_assert_eq!(
-                base.ccw_induced_relation(), s.ccw_induced_relation(), "{}", strategy
-            );
-            prop_assert_eq!(
-                base.all_ordered_relation(), s.all_ordered_relation(), "{}", strategy
-            );
-            prop_assert_eq!(base.class_count(), s.class_count(), "{}", strategy);
-            prop_assert_eq!(base.state_count(), s.state_count(), "{}", strategy);
-        }
+        let s = ExactEngine::new(&exec).with_equiv(EquivStrategy::NormalForm).summary();
+        prop_assert_eq!(base.mhb_relation(), s.mhb_relation());
+        prop_assert_eq!(base.chb_relation(), s.chb_relation());
+        prop_assert_eq!(base.ccw_relation(), s.ccw_relation());
+        prop_assert_eq!(base.ccw_induced_relation(), s.ccw_induced_relation());
+        prop_assert_eq!(base.all_ordered_relation(), s.all_ordered_relation());
+        prop_assert_eq!(base.class_count(), s.class_count());
+        prop_assert_eq!(base.state_count(), s.state_count());
         // And in the race-detection feasibility mode, the canonical
-        // searches reach perfect pruning: one schedule per induced order.
+        // search reaches perfect pruning: one schedule per induced order.
         let ctx = SearchCtx::new(&exec, FeasibilityMode::IgnoreDependences);
         let maz = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::Mazurkiewicz);
         prop_assume!(!maz.truncated);
-        for strategy in [EquivStrategy::NormalForm, EquivStrategy::Grain] {
-            let r = enumerate_classes_with(&ctx, 1 << 20, strategy);
-            prop_assert!(!r.truncated);
-            prop_assert_eq!(r.orders.len(), maz.orders.len(), "{}", strategy);
-            prop_assert_eq!(r.schedules_explored, r.orders.len(), "{}", strategy);
-        }
+        let r = enumerate_classes_with(&ctx, 1 << 20, EquivStrategy::NormalForm);
+        prop_assert!(!r.truncated);
+        prop_assert_eq!(r.orders.len(), maz.orders.len());
+        prop_assert_eq!(r.schedules_explored, r.orders.len());
     }
 
     /// Race sets are identical under every strategy, whether detected by
@@ -245,7 +237,7 @@ proptest! {
     fn equivalence_strategies_race_identically(spec in small_spec()) {
         let exec = exec_of(&spec);
         let baseline = eo_race::exact_races(&exec);
-        for strategy in [EquivStrategy::Mazurkiewicz, EquivStrategy::NormalForm, EquivStrategy::Grain] {
+        for strategy in EquivStrategy::ALL {
             let mut config = eo_serve::SessionConfig::default();
             config.engine.equiv = strategy;
             let mut session = eo_serve::AnalysisSession::with_config(&exec, config);
