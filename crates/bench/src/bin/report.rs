@@ -25,15 +25,39 @@
 //! given), it re-measures the E19 enumeration-vs-symbolic study and
 //! gates its crossover (a workload the SAT backend won must stay won)
 //! and its incremental-vs-fresh speedup (>25% loss fails).
+//!
+//! The experiments that record a `BENCH_*.json` (E12–E20) write it into
+//! the current directory only when no such file exists there. Run from
+//! the repository root, they keep the committed baseline and say so;
+//! delete the file first to re-baseline.
 
 use eo_bench::table::render;
 use eo_bench::*;
 use eo_lang::generator::SyncStyle;
 use eo_model::fixtures;
+use std::io::{ErrorKind, Write};
+use std::path::Path;
 use std::time::Duration;
 
 fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
+}
+
+/// Writes an experiment's `BENCH_*.json` only when `path` is absent, and
+/// otherwise keeps the file and says so.
+fn write_baseline(path: &Path, json: &str) {
+    let shown = path.display();
+    match std::fs::File::create_new(path) {
+        Ok(mut f) => {
+            f.write_all(json.as_bytes())
+                .unwrap_or_else(|e| panic!("write {shown}: {e}"));
+            println!("wrote {shown}");
+        }
+        Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+            println!("kept {shown}: it already exists (delete it to re-baseline)");
+        }
+        Err(e) => panic!("create {shown}: {e}"),
+    }
 }
 
 /// The perf-regression gate (CI's `perf-gate` job; also runnable locally).
@@ -811,8 +835,7 @@ fn main() {
             "{{\n  \"schema_version\": 1,\n  \"experiment\": \"e12_engine_hot_path\",\n  \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
-        println!("wrote BENCH_engine.json ({} workloads)\n", rows.len());
+        write_baseline(Path::new("BENCH_engine.json"), &json);
     }
 
     if want("e17") {
@@ -871,8 +894,7 @@ fn main() {
             "{{\n  \"schema_version\": 1,\n  \"experiment\": \"e17_trace_equivalence\",\n  \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_equiv.json", &json).expect("write BENCH_equiv.json");
-        println!("wrote BENCH_equiv.json ({} rows)\n", rows.len());
+        write_baseline(Path::new("BENCH_equiv.json"), &json);
     }
 
     if want("e13") {
@@ -941,8 +963,7 @@ fn main() {
             "{{\n  \"schema_version\": 1,\n  \"experiment\": \"e13_degradation\",\n  \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_degradation.json", &json).expect("write BENCH_degradation.json");
-        println!("wrote BENCH_degradation.json ({} workloads)\n", rows.len());
+        write_baseline(Path::new("BENCH_degradation.json"), &json);
     }
 
     if want("e14") {
@@ -998,11 +1019,8 @@ fn main() {
             total_pct,
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-        println!(
-            "wrote BENCH_obs.json ({} workloads); aggregate overhead {total_pct:+.2}%",
-            results.len()
-        );
+        write_baseline(Path::new("BENCH_obs.json"), &json);
+        println!("aggregate overhead {total_pct:+.2}%");
         // The DESIGN.md §9 contract: ≤2% aggregate overhead with the
         // feature on (and noise-level with it off). Aggregate, not
         // per-row — sub-millisecond rows are pure jitter.
@@ -1070,8 +1088,7 @@ fn main() {
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-        println!("wrote BENCH_serve.json ({} workloads)", rows.len());
+        write_baseline(Path::new("BENCH_serve.json"), &json);
         // The tentpole's acceptance bar: batching must amortize at least
         // 10x on the e6-5x4 workload.
         let speedup = e6_5x4_speedup.expect("e12_workloads always includes e6-5x4");
@@ -1156,8 +1173,7 @@ fn main() {
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_mhp.json", &json).expect("write BENCH_mhp.json");
-        println!("wrote BENCH_mhp.json ({} workloads)", rows.len());
+        write_baseline(Path::new("BENCH_mhp.json"), &json);
         // The tentpole's acceptance bar: the static tier must discharge
         // real work — candidates refuted with zero exploration — on the
         // E9-style semaphore workloads.
@@ -1229,8 +1245,7 @@ fn main() {
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_sat.json", &json).expect("write BENCH_sat.json");
-        println!("wrote BENCH_sat.json ({} workloads)", rows.len());
+        write_baseline(Path::new("BENCH_sat.json"), &json);
         // The tentpole's acceptance bar: sharing one formula and its
         // learned clauses across a batch must amortize at least 2x over
         // re-encoding per query somewhere in the sweep.
@@ -1304,8 +1319,7 @@ fn main() {
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write("BENCH_primitives.json", &json).expect("write BENCH_primitives.json");
-        println!("wrote BENCH_primitives.json ({} workloads)", rows.len());
+        write_baseline(Path::new("BENCH_primitives.json"), &json);
     }
 
     if want("e18") {
@@ -1363,8 +1377,7 @@ fn main() {
             )
         );
         let json = server_load_json(&r);
-        std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-        println!("wrote BENCH_server.json");
+        write_baseline(Path::new("BENCH_server.json"), &json);
         // The tentpole's acceptance bars: nothing lost, byte parity with
         // the one-shot path, hostility absorbed, drain clean.
         assert_eq!(r.lost, 0, "a well-formed query went unanswered");
@@ -1374,5 +1387,29 @@ fn main() {
             r.report.drained_clean,
             "the load server did not drain cleanly"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_baseline;
+
+    #[test]
+    fn write_baseline_creates_an_absent_file_and_keeps_an_existing_one() {
+        let dir = std::env::temp_dir().join(format!("eo-report-baseline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let _ = std::fs::remove_file(&path);
+
+        write_baseline(&path, "{\"run\": 1}\n");
+        assert_eq!(std::fs::read(&path).unwrap(), b"{\"run\": 1}\n");
+
+        write_baseline(&path, "{\"run\": 2}\n");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            b"{\"run\": 1}\n",
+            "an existing baseline is left byte-identical"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,13 +10,12 @@
 //! [`ExactEngine`](crate::ExactEngine) are thin wrappers over it.
 //!
 //! Engine construction is likewise collapsed into one bag of options:
-//! [`EngineOptions`] carries the feasibility mode, the [`Limits`], and an
-//! optional supervisor [`Budget`], with `Default` meaning "the paper's
-//! F(P), default caps, no supervisor".
+//! [`EngineOptions`] carries the feasibility mode, an optional supervisor
+//! [`Budget`] and the trace equivalence, with `Default` meaning "the
+//! paper's F(P), default caps, no supervisor".
 
 use crate::budget::Budget;
 use crate::ctx::FeasibilityMode;
-use crate::engine::Limits;
 use crate::equiv::EquivStrategy;
 use crate::summary::OrderingSummary;
 use eo_model::EventId;
@@ -192,20 +191,25 @@ impl std::str::FromStr for QueryBackend {
     }
 }
 
+/// The state cap a budget that sets none runs under.
+const DEFAULT_MAX_STATES: usize = 1 << 22;
+
+/// The schedule cap a budget that sets none runs under.
+const DEFAULT_MAX_SCHEDULES: usize = 1 << 20;
+
 /// Everything configurable about an [`ExactEngine`](crate::ExactEngine),
 /// in one struct with a [`Default`]: the paper's dependence-preserving
-/// F(P), default [`Limits`], no supervisor budget.
+/// F(P), default caps, no supervisor budget.
 ///
-/// The `with_mode` / `with_limits` / `with_budget` builder methods remain
+/// The `with_mode` / `with_budget` / `with_equiv` builder methods remain
 /// and delegate here; `EngineOptions` is the one place new knobs land.
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
     /// Which feasibility notion the engine uses.
     pub mode: FeasibilityMode,
-    /// Resource caps for the exact passes.
-    pub limits: Limits,
     /// Optional supervisor budget (deadline, caps, cancellation); caps it
-    /// leaves unset fall back to `limits`.
+    /// leaves unset fall back to the defaults of 2^22 states and 2^20
+    /// schedules.
     pub budget: Option<Budget>,
     /// Which trace equivalence the F(P) enumeration quotients by. The
     /// default (Mazurkiewicz sleep sets) is the differential baseline;
@@ -225,7 +229,7 @@ impl EngineOptions {
 
     /// The budget queries actually run under: the attached [`Budget`]
     /// (or an unconstrained one), with any caps it leaves unset filled
-    /// from `limits`. [`ExactEngine::query`](crate::ExactEngine::query)
+    /// from the defaults. [`ExactEngine::query`](crate::ExactEngine::query)
     /// and the serving layer's sessions both resolve their budgets here,
     /// so a batched query and a one-shot query of the same engine
     /// configuration are stopped by identical bounds.
@@ -233,7 +237,7 @@ impl EngineOptions {
         self.budget
             .clone()
             .unwrap_or_default()
-            .with_default_caps(self.limits.max_states, self.limits.max_schedules)
+            .with_default_caps(DEFAULT_MAX_STATES, DEFAULT_MAX_SCHEDULES)
     }
 }
 
@@ -246,9 +250,10 @@ mod tests {
         let opts = EngineOptions::default();
         assert_eq!(opts.mode, FeasibilityMode::PreserveDependences);
         assert!(opts.budget.is_none());
-        let d = Limits::default();
-        assert_eq!(opts.limits.max_states, d.max_states);
-        assert_eq!(opts.limits.max_schedules, d.max_schedules);
+        let budget = opts.effective_budget();
+        assert_eq!(budget.schedules_cap(), DEFAULT_MAX_SCHEDULES);
+        assert!(budget.check_states(DEFAULT_MAX_STATES).is_ok());
+        assert!(budget.check_states(DEFAULT_MAX_STATES + 1).is_err());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! that any analysis can be stopped mid-flight:
 //!
 //! * a **wall-clock deadline** ([`Budget::with_deadline`]);
-//! * **state / schedule caps** (the same counts [`Limits`](crate::Limits)
-//!   bounds; a budget cap overrides the engine's defaults);
+//! * **state / schedule caps** (a budget cap overrides the engine's
+//!   defaults, see
+//!   [`EngineOptions::effective_budget`](crate::EngineOptions::effective_budget));
 //! * an approximate **heap-bytes cap** checked against the running storage
 //!   estimate each explorer maintains;
 //! * a **cooperative cancel flag** ([`Budget::cancel_handle`]) another
@@ -90,15 +91,14 @@ impl Budget {
         self.with_deadline(Duration::from_millis(ms))
     }
 
-    /// Caps distinct machine states (overrides
-    /// [`Limits::max_states`](crate::Limits::max_states)).
+    /// Caps distinct machine states (overrides the engine's default).
     pub fn with_max_states(mut self, max_states: usize) -> Budget {
         self.max_states = Some(max_states);
         self
     }
 
-    /// Caps complete schedules the enumeration may record (overrides
-    /// [`Limits::max_schedules`](crate::Limits::max_schedules)).
+    /// Caps complete schedules the enumeration may record (overrides the
+    /// engine's default).
     pub fn with_max_schedules(mut self, max_schedules: usize) -> Budget {
         self.max_schedules = Some(max_schedules);
         self
@@ -149,10 +149,8 @@ impl Budget {
         }
     }
 
-    /// Fills caps the budget leaves unset from the engine's [`Limits`]
-    /// defaults (a budget cap always wins).
-    ///
-    /// [`Limits`]: crate::Limits
+    /// Fills caps the budget leaves unset with the engine's defaults (a
+    /// budget cap always wins).
     pub(crate) fn with_default_caps(mut self, max_states: usize, max_schedules: usize) -> Budget {
         self.max_states.get_or_insert(max_states);
         self.max_schedules.get_or_insert(max_schedules);

@@ -11,26 +11,6 @@ use crate::statespace;
 use crate::summary::OrderingSummary;
 use eo_model::{EventId, ProgramExecution};
 
-/// Resource bounds for the exact analyses. The problems are NP-/co-NP-hard
-/// (that is the paper's theorem), so honest engines carry explicit budgets
-/// instead of silently running forever.
-#[derive(Clone, Copy, Debug)]
-pub struct Limits {
-    /// Maximum distinct machine states the cut-lattice pass may visit.
-    pub max_states: usize,
-    /// Maximum complete schedules the class enumeration may record.
-    pub max_schedules: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_states: 1 << 22,
-            max_schedules: 1 << 20,
-        }
-    }
-}
-
 /// Why an exact analysis could not finish within its budget.
 ///
 /// Non-exhaustive: supervisors grow failure modes; downstream matches
@@ -38,14 +18,14 @@ impl Default for Limits {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
-    /// The cut lattice outgrew [`Limits::max_states`] (or the
-    /// [`Budget`] state cap).
+    /// The cut lattice outgrew the state cap: the [`Budget`]'s, or the
+    /// engine's default.
     StateSpaceExceeded {
         /// The configured bound.
         limit: usize,
     },
-    /// The class enumeration outgrew [`Limits::max_schedules`] (or the
-    /// [`Budget`] schedule cap).
+    /// The class enumeration outgrew the schedule cap: the [`Budget`]'s,
+    /// or the engine's default.
     ScheduleBudgetExceeded {
         /// The configured bound.
         limit: usize,
@@ -157,14 +137,9 @@ impl<'a> ExactEngine<'a> {
         Self::with_options(exec, EngineOptions::with_mode(mode))
     }
 
-    /// Replaces the resource budget.
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.opts.limits = limits;
-        self
-    }
-
     /// Attaches a supervisor [`Budget`] (deadline, caps, cancellation).
-    /// Caps the budget leaves unset fall back to the engine's [`Limits`].
+    /// Caps the budget leaves unset fall back to the engine's defaults
+    /// (see [`EngineOptions::effective_budget`]).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.opts.budget = Some(budget);
         self
@@ -183,8 +158,8 @@ impl<'a> ExactEngine<'a> {
         &self.opts
     }
 
-    /// The budget every pass runs under: the attached one (with `Limits`
-    /// filling unset caps) or a cap-only budget from `Limits`.
+    /// The budget every pass runs under: the attached one (with the
+    /// default caps filling unset caps) or a cap-only default budget.
     fn effective_budget(&self) -> Budget {
         self.opts.effective_budget()
     }
@@ -295,8 +270,8 @@ impl<'a> ExactEngine<'a> {
     }
 
     /// Answers one [`Query`] under the engine's effective budget: the
-    /// attached [`Budget`] (with `Limits` filling unset caps) or a
-    /// cap-only budget from `Limits`. This is the single entry point the
+    /// attached [`Budget`] (with the default caps filling unset caps) or
+    /// a cap-only default budget. This is the single entry point the
     /// per-relation methods below and the serving layer route through.
     ///
     /// Point queries run an early-exit witness search in a fresh
@@ -467,10 +442,7 @@ mod tests {
     fn budget_errors_are_reported() {
         let (trace, _ids) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
-        let tiny = ExactEngine::new(&exec).with_limits(Limits {
-            max_states: 2,
-            max_schedules: 1 << 20,
-        });
+        let tiny = ExactEngine::new(&exec).with_budget(Budget::unlimited().with_max_states(2));
         assert!(matches!(
             tiny.try_summary(),
             Err(EngineError::StateSpaceExceeded { limit: 2 })
@@ -479,10 +451,7 @@ mod tests {
         // The clear chain has many schedule classes; a budget of 1 truncates.
         let (trace2, _ids) = fixtures::post_wait_clear_chain();
         let exec2 = trace2.to_execution().unwrap();
-        let tiny2 = ExactEngine::new(&exec2).with_limits(Limits {
-            max_states: 1 << 20,
-            max_schedules: 1,
-        });
+        let tiny2 = ExactEngine::new(&exec2).with_budget(Budget::unlimited().with_max_schedules(1));
         assert!(matches!(
             tiny2.try_summary(),
             Err(EngineError::ScheduleBudgetExceeded { limit: 1 })
@@ -545,7 +514,6 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let opts = EngineOptions {
             mode: FeasibilityMode::IgnoreDependences,
-            limits: Limits::default(),
             budget: None,
             equiv: EquivStrategy::default(),
         };

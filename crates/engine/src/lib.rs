@@ -76,7 +76,7 @@ pub use budget::{Budget, CancelHandle};
 pub use config::EngineConfig;
 pub use ctx::{FeasibilityMode, SearchCtx};
 pub use degraded::{DegradedSummary, Fact};
-pub use engine::{AnalysisOutcome, EngineError, ExactEngine, Limits};
+pub use engine::{AnalysisOutcome, EngineError, ExactEngine};
 pub use enumerate::{
     enumerate_classes, enumerate_classes_with, enumerate_naive, EnumerationResult,
 };

@@ -1,4 +1,4 @@
-//! Imperative construction of [`Program`]s (compatibility surface).
+//! Construction of [`Program`]s.
 //!
 //! [`ProgramBuilder`] appends statements to named process definitions;
 //! nested blocks (conditional branches) are built through [`BlockBuilder`]
@@ -8,14 +8,12 @@
 //! [`ProgramBuilder::try_build`] returns the error for callers assembling
 //! programs from untrusted descriptions.
 //!
-//! **Deprecated in favor of [`crate::fluent`]**: new code should use the
-//! typed, scoped builder ([`ProgramScope`](crate::fluent::ProgramScope)),
-//! which keeps each
-//! thread's statements inside a scope closure and hands out typed handles
-//! for every sync object. This module is kept as a thin shim — every
-//! method forwards into the same [`Program`] representation — so the
-//! large existing fixture and reduction surface compiles unchanged. See
-//! README "Builder migration" for a side-by-side.
+//! Declaring a process and filling in its body are separate steps.
+//! Process indices, and with them the event ids of every trace, follow
+//! declaration order, and the reductions rely on that: the single-semaphore
+//! reduction declares every job before filling in bodies that join other
+//! jobs, and the event-style reduction declares each `var_i` before the
+//! side processes it forks.
 
 use crate::ast::{
     BarrierDef, BarrierId, ChanId, ChannelDef, CondId, CondvarDef, EvVarDef, MutexDef, MutexId,
@@ -541,6 +539,33 @@ mod tests {
         b.process("main");
         b.subprocess("orphan");
         assert!(b.try_build().is_err());
+    }
+
+    #[test]
+    fn typed_handles_cover_all_sync_objects() {
+        let mut b = ProgramBuilder::new();
+        let bar = b.barrier("bar", 2);
+        let m = b.mutex("m");
+        let c = b.condvar("c");
+        let ch = b.channel("ch", 1);
+        let a = b.process("a");
+        b.lock(a, m)
+            .cond_signal(a, c)
+            .unlock(a, m)
+            .send(a, ch)
+            .barrier_wait(a, bar);
+        let p = b.process("b");
+        b.lock(p, m)
+            .cond_wait(p, c, m)
+            .unlock(p, m)
+            .recv(p, ch)
+            .barrier_wait(p, bar);
+        let prog = b.build();
+        assert!(prog.uses_surface_sync());
+        assert_eq!(prog.barriers.len(), 1);
+        assert_eq!(prog.mutexes.len(), 1);
+        assert_eq!(prog.condvars.len(), 1);
+        assert_eq!(prog.channels.len(), 1);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! Small, named programs — one per new primitive family plus one
 //! deliberate misuse — whose `eo analyze`/`eo mhp`/`eo lint` output is
 //! golden-pinned under `testdata/gallery/` (see
-//! `tests/fixture_gallery.rs`). Each is built with the fluent
-//! [`ProgramScope`] API, so the gallery doubles as the builder's
-//! reference examples.
+//! `tests/fixture_gallery.rs`). Each is built with [`ProgramBuilder`],
+//! so the gallery doubles as the builder's surface-primitive examples.
 
 use crate::ast::Program;
-use crate::fluent::ProgramScope;
+use crate::builder::ProgramBuilder;
 
 /// Names of every gallery fixture, in presentation order.
 pub fn names() -> Vec<&'static str> {
@@ -39,40 +38,37 @@ pub fn fixture(name: &str) -> Option<Program> {
 /// MHP proves every cross-phase pair never-concurrent, so the program
 /// is race-free *because of* the barrier.
 pub fn barrier_pipeline() -> Program {
-    let mut p = ProgramScope::new();
-    let bar = p.barrier("phase", 3);
-    let slots = [p.variable("x0"), p.variable("x1"), p.variable("x2")];
+    let mut b = ProgramBuilder::new();
+    let bar = b.barrier("phase", 3);
+    let slots = [b.variable("x0"), b.variable("x1"), b.variable("x2")];
     for i in 0..3usize {
-        p.thread(&format!("w{i}"), |t| {
-            t.compute_rw(&[], &[slots[i]], &format!("produce{i}"))
-                .barrier_wait(bar)
-                .compute_rw(&[slots[(i + 1) % 3]], &[], &format!("consume{i}"));
-        });
+        let w = b.process(&format!("w{i}"));
+        b.compute_rw(w, &[], &[slots[i]], &format!("produce{i}"))
+            .barrier_wait(w, bar)
+            .compute_rw(w, &[slots[(i + 1) % 3]], &[], &format!("consume{i}"));
     }
-    p.build()
+    b.build()
 }
 
 /// A one-slot handoff through a mutex + condvar: the producer fills
 /// `data` and signals; the consumer waits, then drains. The signal/wait
 /// edge (not the lock) is what orders `fill` before `drain`.
 pub fn monitor_handoff() -> Program {
-    let mut p = ProgramScope::new();
-    let m = p.mutex("m");
-    let ready = p.condvar("ready");
-    let data = p.variable("data");
-    p.thread("producer", |t| {
-        t.compute_rw(&[], &[data], "fill")
-            .lock(m)
-            .cond_signal(ready)
-            .unlock(m);
-    });
-    p.thread("consumer", |t| {
-        t.lock(m)
-            .cond_wait(ready, m)
-            .unlock(m)
-            .compute_rw(&[data], &[], "drain");
-    });
-    p.build()
+    let mut b = ProgramBuilder::new();
+    let m = b.mutex("m");
+    let ready = b.condvar("ready");
+    let data = b.variable("data");
+    let producer = b.process("producer");
+    b.compute_rw(producer, &[], &[data], "fill")
+        .lock(producer, m)
+        .cond_signal(producer, ready)
+        .unlock(producer, m);
+    let consumer = b.process("consumer");
+    b.lock(consumer, m)
+        .cond_wait(consumer, ready, m)
+        .unlock(consumer, m)
+        .compute_rw(consumer, &[data], &[], "drain");
+    b.build()
 }
 
 /// A producer/consumer pair over a bounded channel of capacity 1: the
@@ -80,34 +76,33 @@ pub fn monitor_handoff() -> Program {
 /// and the producer's trailing `next` stays concurrent with the
 /// consumer.
 pub fn channel_pipeline() -> Program {
-    let mut p = ProgramScope::new();
-    let ch = p.channel("ch", 1);
-    let item = p.variable("item");
-    p.thread("producer", |t| {
-        t.compute_rw(&[], &[item], "produce")
-            .send(ch)
-            .compute("next");
-    });
-    p.thread("consumer", |t| {
-        t.recv(ch).compute_rw(&[item], &[], "consume");
-    });
-    p.build()
+    let mut b = ProgramBuilder::new();
+    let ch = b.channel("ch", 1);
+    let item = b.variable("item");
+    let producer = b.process("producer");
+    b.compute_rw(producer, &[], &[item], "produce")
+        .send(producer, ch)
+        .compute(producer, "next");
+    let consumer = b.process("consumer");
+    b.recv(consumer, ch)
+        .compute_rw(consumer, &[item], &[], "consume");
+    b.build()
 }
 
 /// Deliberate misuse for the lint gallery: a channel that is received
 /// on but never sent to. `eo lint` flags it EO-L013 (error) — the
 /// second receive can never be satisfied and the consumer wedges.
 pub fn channel_starved() -> Program {
-    let mut p = ProgramScope::new();
-    let ch = p.channel("ch", 1);
-    let dead = p.channel("dead", 1);
-    p.thread("producer", |t| {
-        t.compute("work").send(ch);
-    });
-    p.thread("consumer", |t| {
-        t.recv(ch).recv(dead).compute("never");
-    });
-    p.build()
+    let mut b = ProgramBuilder::new();
+    let ch = b.channel("ch", 1);
+    let dead = b.channel("dead", 1);
+    let producer = b.process("producer");
+    b.compute(producer, "work").send(producer, ch);
+    let consumer = b.process("consumer");
+    b.recv(consumer, ch)
+        .recv(consumer, dead)
+        .compute(consumer, "never");
+    b.build()
 }
 
 #[cfg(test)]

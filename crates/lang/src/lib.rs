@@ -55,7 +55,6 @@ pub mod ast;
 pub mod builder;
 pub mod desugar;
 pub mod explore;
-pub mod fluent;
 pub mod gallery;
 pub mod generator;
 pub mod interp;
@@ -70,7 +69,6 @@ pub use ast::{
 pub use builder::ProgramBuilder;
 pub use desugar::{desugar, DesugarMap, DesugarRole, Desugared};
 pub use explore::{enumerate_desugared_schedules, enumerate_schedules, ScheduleSet};
-pub use fluent::ProgramScope;
 pub use interp::{run_to_trace, run_to_trace_anchored, AnchoredRun, RunError};
 pub use reconstruct::program_from_trace;
 pub use scheduler::Scheduler;

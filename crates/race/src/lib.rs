@@ -34,7 +34,7 @@
 
 use eo_approx::cs::{StaticOrderings, StmtId};
 use eo_approx::VectorClockHb;
-use eo_engine::{Budget, EngineError, FeasibilityMode, QueryMemo, QuerySession, SearchCtx};
+use eo_engine::{EngineError, FeasibilityMode, QueryMemo, QuerySession, SearchCtx};
 use eo_model::{EventId, ProgramExecution};
 
 /// A (potential) data race: an unordered conflicting pair. Stored with
@@ -85,25 +85,15 @@ pub fn exact_races(exec: &ProgramExecution) -> Vec<Race> {
 /// `ctx` must be the dependence-ignoring context the memo was opened for
 /// (races are defined over the Section 5.3 feasibility space; a
 /// dependence-preserving context would order every candidate by
-/// construction). Errors at the memo budget's first exhausted resource.
+/// construction). An optional zero-exploration MHP tier (see
+/// [`StaticPrefilter`]) lets statically refuted candidates skip the
+/// could-be-concurrent search entirely, consuming none of the memo's
+/// budget; the answer is identical either way, since the prefilter is
+/// sound. Errors at the memo budget's first exhausted resource.
 ///
 /// # Panics
 /// Panics if `ctx` preserves dependences.
 pub fn try_exact_races_with_memo(
-    ctx: &SearchCtx<'_>,
-    memo: &mut QueryMemo,
-) -> Result<Vec<Race>, EngineError> {
-    try_exact_races_with_memo_prefiltered(ctx, memo, None)
-}
-
-/// [`try_exact_races_with_memo`] with an optional zero-exploration MHP
-/// tier (see [`StaticPrefilter`]): statically refuted candidates skip the
-/// could-be-concurrent search entirely, consuming none of the memo's
-/// budget. The answer is identical either way — the prefilter is sound.
-///
-/// # Panics
-/// Panics if `ctx` preserves dependences.
-pub fn try_exact_races_with_memo_prefiltered(
     ctx: &SearchCtx<'_>,
     memo: &mut QueryMemo,
     prefilter: Option<&StaticPrefilter<'_>>,
@@ -235,100 +225,6 @@ pub fn pruned_exact_races_with_prefilter(
         }
     }
     out
-}
-
-/// What a budgeted exhaustive detection produced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RacesOutcome {
-    /// The budget sufficed: the full answer, identical to
-    /// [`exact_races`].
-    Exact(Vec<Race>),
-    /// The budget ran out; the candidates are partitioned into what the
-    /// partial run could still prove.
-    Degraded(DegradedRaces),
-}
-
-/// The sound partition a budget-stopped detector reports: every
-/// `confirmed` race is real, every `refuted` pair is provably not a
-/// race, and `unknown` pairs got no verdict before the stop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradedRaces {
-    /// Pairs with a concrete concurrency witness — real races.
-    pub confirmed: Vec<Race>,
-    /// Pairs proved ordered (exhaustive search or a sound polynomial
-    /// guarantee) — not races.
-    pub refuted: Vec<Race>,
-    /// Pairs the budget ran out on.
-    pub unknown: Vec<Race>,
-    /// The first exhausted resource.
-    pub reason: EngineError,
-}
-
-/// [`exact_races`] under a supervisor [`Budget`]. Candidates ordered by a
-/// sound polynomial guarantee (HMW safe orderings or the EGP task graph,
-/// both of which hold in every execution of the same events) are refuted
-/// without search; the rest get budgeted could-be-concurrent queries.
-/// When the budget runs out mid-way the remaining candidates are
-/// reported [`DegradedRaces::unknown`] instead of being guessed at.
-pub fn races_with_budget(exec: &ProgramExecution, budget: &Budget) -> RacesOutcome {
-    races_with_budget_prefiltered(exec, budget, None)
-}
-
-/// [`races_with_budget`] with an optional zero-exploration MHP tier in
-/// front (see [`StaticPrefilter`]): statically refuted candidates are
-/// discharged before the polynomial guarantees and the budgeted search,
-/// so they consume no budget at all — under a budget stop they land in
-/// [`DegradedRaces::refuted`] instead of `unknown`, shrinking the
-/// degraded answer's uncertainty for free.
-pub fn races_with_budget_prefiltered(
-    exec: &ProgramExecution,
-    budget: &Budget,
-    prefilter: Option<&StaticPrefilter<'_>>,
-) -> RacesOutcome {
-    let ctx = SearchCtx::new(exec, FeasibilityMode::IgnoreDependences);
-    let safe = eo_approx::SafeOrderings::compute(exec);
-    let tasks = eo_approx::TaskGraph::build(exec);
-    let mut session = QuerySession::with_budget(&ctx, budget.clone());
-    let mut confirmed = Vec::new();
-    let mut refuted = Vec::new();
-    let mut unknown = Vec::new();
-    let mut reason: Option<EngineError> = None;
-    for r in conflicting_pairs(exec) {
-        let (a, b) = (r.first, r.second);
-        if prefilter.is_some_and(|pf| pf.refutes(a, b)) {
-            refuted.push(r);
-            continue;
-        }
-        let guaranteed = safe.guaranteed_before(a, b)
-            || safe.guaranteed_before(b, a)
-            || tasks.guaranteed_before(a, b)
-            || tasks.guaranteed_before(b, a);
-        if guaranteed {
-            refuted.push(r);
-            continue;
-        }
-        if reason.is_some() {
-            unknown.push(r);
-            continue;
-        }
-        match session.try_could_be_concurrent(a, b) {
-            Ok(true) => confirmed.push(r),
-            Ok(false) => refuted.push(r),
-            Err(e) => {
-                reason = Some(e);
-                unknown.push(r);
-            }
-        }
-    }
-    match reason {
-        None => RacesOutcome::Exact(confirmed),
-        Some(reason) => RacesOutcome::Degraded(DegradedRaces {
-            confirmed,
-            refuted,
-            unknown,
-            reason,
-        }),
-    }
 }
 
 /// The vector-clock detector: conflicting pairs whose observed-pairing
@@ -693,98 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_detector_with_prefilter_stays_exact_and_shrinks_unknowns() {
-        use eo_lang::generator::{random_program, WorkloadSpec};
-        for seed in 0..5 {
-            let mut spec = WorkloadSpec::small_semaphore(seed);
-            spec.variables = 3;
-            spec.write_fraction = 0.5;
-            let program = random_program(&spec);
-            let Some(run) = anchored_run(&program) else {
-                continue;
-            };
-            let exec = run.trace.to_execution().unwrap();
-            let mhp = eo_mhp::MhpAnalysis::analyze(&program);
-            let pf = StaticPrefilter::new(&mhp, &run.stmt_of);
-            match races_with_budget_prefiltered(&exec, &Budget::unlimited(), Some(&pf)) {
-                RacesOutcome::Exact(races) => {
-                    assert_eq!(races, exact_races(&exec), "seed {seed}")
-                }
-                RacesOutcome::Degraded(d) => {
-                    panic!("seed {seed}: unlimited budget degraded: {:?}", d.reason)
-                }
-            }
-            // Under a dead budget the statically refuted pairs still get a
-            // verdict: the prefilter consumes no budget at all.
-            let budget = Budget::unlimited();
-            budget.cancel_handle().cancel();
-            let RacesOutcome::Degraded(d) =
-                races_with_budget_prefiltered(&exec, &budget, Some(&pf))
-            else {
-                continue; // no candidates at all
-            };
-            let exact = exact_races(&exec);
-            for r in &d.refuted {
-                assert!(!exact.contains(r), "seed {seed}: refuted {r:?} is real");
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_detector_is_exact_when_the_budget_suffices() {
-        use eo_lang::generator::{generate_trace, WorkloadSpec};
-        for seed in 0..5 {
-            let trace = generate_trace(&WorkloadSpec::small_semaphore(seed), 40);
-            let exec = trace.to_execution().unwrap();
-            match races_with_budget(&exec, &Budget::unlimited()) {
-                RacesOutcome::Exact(races) => {
-                    assert_eq!(races, exact_races(&exec), "seed {seed}")
-                }
-                RacesOutcome::Degraded(d) => {
-                    panic!("seed {seed}: unlimited budget degraded: {:?}", d.reason)
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn budget_stop_partitions_candidates_soundly() {
-        use eo_lang::generator::{generate_trace, WorkloadSpec};
-        for (name, trace) in [
-            ("figure1", fixtures::figure1().0),
-            ("shared_counter_race", fixtures::shared_counter_race().0),
-            (
-                "small_semaphore(1)",
-                generate_trace(&WorkloadSpec::small_semaphore(1), 40),
-            ),
-            (
-                "small_events(1)",
-                generate_trace(&WorkloadSpec::small_events(1), 40),
-            ),
-        ] {
-            let exec = trace.to_execution().unwrap();
-            let exact = exact_races(&exec);
-            let budget = Budget::unlimited();
-            budget.cancel_handle().cancel();
-            let RacesOutcome::Degraded(d) = races_with_budget(&exec, &budget) else {
-                panic!("{name}: a cancelled detection cannot be exact");
-            };
-            assert_eq!(d.reason, EngineError::Cancelled, "{name}");
-            assert_eq!(
-                d.confirmed.len() + d.refuted.len() + d.unknown.len(),
-                conflicting_pairs(&exec).len(),
-                "{name}: the partition covers every candidate"
-            );
-            for r in &d.confirmed {
-                assert!(exact.contains(r), "{name}: confirmed {r:?} is not real");
-            }
-            for r in &d.refuted {
-                assert!(!exact.contains(r), "{name}: refuted {r:?} is real");
-            }
-        }
-    }
-
-    #[test]
     fn memo_detector_matches_exact_and_is_idempotent() {
         use eo_lang::generator::{generate_trace, WorkloadSpec};
         for trace in [
@@ -797,13 +601,13 @@ mod tests {
             let mut memo = QueryMemo::new(&ctx);
             let expected = exact_races(&exec);
             assert_eq!(
-                try_exact_races_with_memo(&ctx, &mut memo).unwrap(),
+                try_exact_races_with_memo(&ctx, &mut memo, None).unwrap(),
                 expected
             );
             // A second pass over the warm memo must answer identically —
             // the memo never changes answers, only their cost.
             assert_eq!(
-                try_exact_races_with_memo(&ctx, &mut memo).unwrap(),
+                try_exact_races_with_memo(&ctx, &mut memo, None).unwrap(),
                 expected
             );
         }

@@ -31,10 +31,13 @@ use eo_relations::fxhash::FxHasher;
 use eo_relations::Relation;
 use std::hash::Hasher;
 
+/// Capacity of a session's witness-schedule LRU (entries, not bytes).
+const WITNESS_CAPACITY: usize = 256;
+
 /// Serving-side configuration for an [`AnalysisSession`].
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Engine configuration (feasibility mode, limits, budget). The
+    /// Engine configuration (feasibility mode, budget, equivalence). The
     /// session resolves budgets through
     /// [`EngineOptions::effective_budget`], exactly as one-shot queries
     /// do.
@@ -53,8 +56,6 @@ pub struct SessionConfig {
     /// Off by default (`eo serve --static-prefilter` turns it on);
     /// answers are identical either way.
     pub static_prefilter: bool,
-    /// Capacity of the witness-schedule LRU (entries, not bytes).
-    pub witness_capacity: usize,
     /// Which decision procedure answers queries that reach the engine
     /// tier (`eo serve --backend {exact,sat}`). Decided answers are
     /// identical either way; witness *schedules* may differ (both are
@@ -78,7 +79,6 @@ impl Default for SessionConfig {
             cache: true,
             prefilter: true,
             static_prefilter: false,
-            witness_capacity: 256,
             backend: QueryBackend::Exact,
             config_echo: Vec::new(),
         }
@@ -212,7 +212,7 @@ impl<'e> AnalysisSession<'e> {
         AnalysisSession {
             exec,
             fingerprint: fingerprint(exec),
-            witnesses: WitnessCache::new(config.witness_capacity),
+            witnesses: WitnessCache::new(WITNESS_CAPACITY),
             config,
             ctx,
             memo,
@@ -333,11 +333,7 @@ impl<'e> AnalysisSession<'e> {
         let facts = self.static_facts.as_deref();
         let prefilter = facts.map(|f| eo_race::StaticPrefilter::new(&f.mhp, &f.stmt_of));
         let races = if self.config.engine.mode == FeasibilityMode::IgnoreDependences {
-            eo_race::try_exact_races_with_memo_prefiltered(
-                &self.ctx,
-                &mut self.memo,
-                prefilter.as_ref(),
-            )?
+            eo_race::try_exact_races_with_memo(&self.ctx, &mut self.memo, prefilter.as_ref())?
         } else {
             if self.race_ctx.is_none() {
                 self.race_ctx = Some(SearchCtx::new(
@@ -349,7 +345,7 @@ impl<'e> AnalysisSession<'e> {
             let memo = self.race_memo.get_or_insert_with(|| {
                 QueryMemo::with_budget(ctx, self.config.engine.effective_budget())
             });
-            eo_race::try_exact_races_with_memo_prefiltered(ctx, memo, prefilter.as_ref())?
+            eo_race::try_exact_races_with_memo(ctx, memo, prefilter.as_ref())?
         };
         if self.config.cache {
             self.races = Some(races.clone());
