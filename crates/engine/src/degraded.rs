@@ -19,9 +19,12 @@
 //!   ([`SafeOrderings`](eo_approx::SafeOrderings)) and EGP task graph
 //!   ([`TaskGraph`](eo_approx::TaskGraph)) hold in *every* execution of
 //!   the same events — they are sound under-approximations of MHB in
-//!   both feasibility modes. `G(a,b)` therefore proves `a MHB b`,
-//!   refutes `b CHB a`, and refutes `CCW(a,b)`, all without any search.
-//!   Facts proved this way are tagged [`Fact::Bounded`].
+//!   both feasibility modes. `G(a,b)` therefore proves `a MHB b` and
+//!   refutes `b CHB a`. It also refutes `CCW(a,b)`, though not because
+//!   of MHB: every edge of G is an enablement order (`b` is never enabled
+//!   before `a` has executed; DESIGN.md §10 gives the argument rule by
+//!   rule), so the two are never enabled together. None of these facts
+//!   needs a search; they are tagged [`Fact::Bounded`].
 //!
 //!   (The vector-clock baseline is deliberately **not** used here: as
 //!   DESIGN.md and experiment E7 show, its Lamport-style V→P matching

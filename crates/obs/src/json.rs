@@ -9,7 +9,9 @@
 //! [`Value::Num`], which the writer prints as an integer whenever it is
 //! exactly one, so integer metrics round-trip textually. The writer emits
 //! compact text ([`Value::to_json`]) or serde_json's two-space pretty
-//! format ([`Value::pretty`]), the on-disk trace format.
+//! format ([`Value::pretty`]), the on-disk trace format. [`Members`]
+//! writes the same compact text member by member, without building a
+//! `Value` first.
 
 use std::fmt::Write as _;
 
@@ -125,6 +127,117 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Compact JSON object text written member by member at the end of a
+/// caller's `String`, with no [`Value`] tree and no owned keys in
+/// between: the serving layer writes its replies this way. Keys and
+/// values print exactly as [`Value::to_json`] prints them, so a document
+/// written here is byte-identical to the `Value::Obj` it stands for.
+/// [`Members::close`] ends the object.
+pub struct Members<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Members<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> Members<'a> {
+        out.push('{');
+        Members { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`; the caller writes the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A `true`/`false` member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// An integer member.
+    pub fn int(&mut self, key: &str, value: i64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// A string member, escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        write_str(value, self.key(key));
+        self
+    }
+
+    /// A member holding any value, in compact form.
+    pub fn value(&mut self, key: &str, value: &Value) -> &mut Self {
+        value.write(self.key(key), None);
+        self
+    }
+
+    /// Opens a nested object member; close it before the next member.
+    pub fn object(&mut self, key: &str) -> Members<'_> {
+        Members::open(self.key(key))
+    }
+
+    /// Opens an array member; close it before the next member.
+    pub fn array(&mut self, key: &str) -> Elements<'_> {
+        self.key(key).push('[');
+        Elements {
+            out: &mut *self.out,
+            empty: true,
+        }
+    }
+
+    /// Ends the object.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// The elements of an array opened by [`Members::array`].
+pub struct Elements<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl Elements<'_> {
+    fn next(&mut self) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out
+    }
+
+    /// An integer element.
+    pub fn int(&mut self, value: i64) -> &mut Self {
+        let _ = write!(self.next(), "{value}");
+        self
+    }
+
+    /// A string element, escaped.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        write_str(value, self.next());
+        self
+    }
+
+    /// Opens an object element; close it before the next element.
+    pub fn object(&mut self) -> Members<'_> {
+        Members::open(self.next())
+    }
+
+    /// Ends the array.
+    pub fn close(self) {
+        self.out.push(']');
     }
 }
 

@@ -110,6 +110,62 @@ fn json_compact_output_round_trips() {
 }
 
 #[test]
+fn json_members_write_what_the_value_writer_writes() {
+    let awkward = "q\"b\\c\u{1}\n\u{7f}é";
+    let id = Value::Arr(vec![Value::Num(0.5), Value::Null, Value::Int(-3)]);
+    let mut out = String::from("prefix ");
+    let mut doc = json::Members::open(&mut out);
+    doc.int("n", i64::MIN)
+        .bool("t", true)
+        .bool("f", false)
+        .str(awkward, awkward)
+        .value("id", &id);
+    let mut nested = doc.object("o");
+    nested.str("k", "v");
+    nested.object("empty").close();
+    nested.close();
+    let mut list = doc.array("xs");
+    list.int(7).str(awkward);
+    let mut item = list.object();
+    item.int("first", 1).int("second", 2);
+    item.close();
+    list.close();
+    doc.array("none").close();
+    doc.close();
+
+    let expected = Value::Obj(vec![
+        ("n".to_owned(), Value::Int(i64::MIN)),
+        ("t".to_owned(), Value::Bool(true)),
+        ("f".to_owned(), Value::Bool(false)),
+        (awkward.to_owned(), Value::Str(awkward.to_owned())),
+        ("id".to_owned(), id),
+        (
+            "o".to_owned(),
+            Value::Obj(vec![
+                ("k".to_owned(), Value::Str("v".to_owned())),
+                ("empty".to_owned(), Value::Obj(vec![])),
+            ]),
+        ),
+        (
+            "xs".to_owned(),
+            Value::Arr(vec![
+                Value::Int(7),
+                Value::Str(awkward.to_owned()),
+                Value::Obj(vec![
+                    ("first".to_owned(), Value::Int(1)),
+                    ("second".to_owned(), Value::Int(2)),
+                ]),
+            ]),
+        ),
+        ("none".to_owned(), Value::Arr(vec![])),
+    ]);
+    assert_eq!(out, format!("prefix {}", expected.to_json()));
+    let mut empty = String::new();
+    json::Members::open(&mut empty).close();
+    assert_eq!(empty, "{}");
+}
+
+#[test]
 fn json_integers_are_exact_over_the_i64_range() {
     for n in [i64::MIN, -1, 0, (1 << 53) + 1, i64::MAX] {
         assert_eq!(json::parse(&n.to_string()).unwrap(), Value::Int(n));

@@ -85,18 +85,21 @@ pub fn exact_races(exec: &ProgramExecution) -> Vec<Race> {
 /// `ctx` must be the dependence-ignoring context the memo was opened for
 /// (races are defined over the Section 5.3 feasibility space; a
 /// dependence-preserving context would order every candidate by
-/// construction). An optional zero-exploration MHP tier (see
-/// [`StaticPrefilter`]) lets statically refuted candidates skip the
-/// could-be-concurrent search entirely, consuming none of the memo's
-/// budget; the answer is identical either way, since the prefilter is
-/// sound. Errors at the memo budget's first exhausted resource.
+/// construction). `refutes(a, b)` is the caller's refutation tier: a
+/// candidate pair it refutes skips the could-be-concurrent search and
+/// consumes none of the memo's budget. It must be sound — true only for
+/// pairs that are never simultaneously enabled — and then the answer is
+/// identical to [`exact_races`]; the serving layer passes the HMW ∪ EGP
+/// guarantee relation in both directions and the [`StaticPrefilter`].
+/// `|_, _| false` walks every candidate. Errors at the memo budget's first
+/// exhausted resource.
 ///
 /// # Panics
 /// Panics if `ctx` preserves dependences.
 pub fn try_exact_races_with_memo(
     ctx: &SearchCtx<'_>,
     memo: &mut QueryMemo,
-    prefilter: Option<&StaticPrefilter<'_>>,
+    refutes: impl Fn(EventId, EventId) -> bool,
 ) -> Result<Vec<Race>, EngineError> {
     assert_eq!(
         ctx.mode(),
@@ -105,7 +108,7 @@ pub fn try_exact_races_with_memo(
     );
     let mut races = Vec::new();
     for r in conflicting_pairs(ctx.exec()) {
-        if prefilter.is_some_and(|pf| pf.refutes(r.first, r.second)) {
+        if refutes(r.first, r.second) {
             continue;
         }
         if memo.try_could_be_concurrent(ctx, r.first, r.second)? {
@@ -400,24 +403,70 @@ mod tests {
         assert!(conflicting_pairs(&exec).is_empty());
     }
 
+    /// The guarantee relation the serving layer filters race candidates
+    /// with: HMW safe orderings ∪ the EGP task graph, closed.
+    fn guarantee(exec: &ProgramExecution) -> eo_relations::Relation {
+        let mut g = eo_approx::SafeOrderings::compute(exec).relation().clone();
+        g.union_with(eo_approx::TaskGraph::build(exec).relation());
+        g.close_transitively();
+        g
+    }
+
     #[test]
     fn hmw_filter_never_misses_a_feasible_race() {
-        use eo_lang::generator::{generate_trace, WorkloadSpec};
+        use eo_lang::generator::{fork_join_tree, generate_trace, WorkloadSpec};
+        let mut traces = Vec::new();
         for seed in 0..6 {
-            let mut spec = WorkloadSpec::small_semaphore(seed);
-            spec.variables = 3;
-            spec.write_fraction = 0.5;
-            let trace = generate_trace(&spec, 50);
+            for mut spec in [
+                WorkloadSpec::small_semaphore(seed),
+                WorkloadSpec::small_events(seed),
+            ] {
+                spec.variables = 3;
+                spec.write_fraction = 0.5;
+                traces.push((
+                    format!("{:?} seed {seed}", spec.style),
+                    generate_trace(&spec, 50),
+                ));
+            }
+        }
+        for (depth, fanout) in [(1, 3), (2, 2)] {
+            let program = fork_join_tree(depth, fanout);
+            let trace =
+                eo_lang::run_to_trace(&program, &mut eo_lang::Scheduler::random(u64::from(depth)))
+                    .expect("fork/join trees always complete");
+            traces.push((format!("fork_join_tree({depth}, {fanout})"), trace));
+        }
+        let mut ordered_pairs = 0;
+        for (label, trace) in traces {
             let exec = trace.to_execution().unwrap();
             let exact = exact_races(&exec);
             let candidates = hmw_candidate_races(&exec);
             for r in &exact {
                 assert!(
                     candidates.contains(r),
-                    "seed {seed}: HMW filter dropped feasible race {r:?}"
+                    "{label}: HMW filter dropped feasible race {r:?}"
                 );
             }
+            // The closed HMW ∪ EGP relation refutes overlap outright: no
+            // pair it orders is ever enabled together, in either mode.
+            let g = guarantee(&exec);
+            for mode in [
+                FeasibilityMode::IgnoreDependences,
+                FeasibilityMode::PreserveDependences,
+            ] {
+                let ctx = SearchCtx::new(&exec, mode);
+                let mut session = QuerySession::new(&ctx);
+                for (a, b) in g.pairs() {
+                    let (a, b) = (EventId::new(a), EventId::new(b));
+                    assert!(
+                        !session.could_be_concurrent(a, b),
+                        "{label} {mode:?}: G orders {a} before {b}, yet they overlap"
+                    );
+                    ordered_pairs += 1;
+                }
+            }
         }
+        assert!(ordered_pairs > 0, "G should order some pairs");
     }
 
     #[test]
@@ -598,18 +647,25 @@ mod tests {
         ] {
             let exec = trace.to_execution().unwrap();
             let ctx = SearchCtx::new(&exec, FeasibilityMode::IgnoreDependences);
-            let mut memo = QueryMemo::new(&ctx);
             let expected = exact_races(&exec);
-            assert_eq!(
-                try_exact_races_with_memo(&ctx, &mut memo, None).unwrap(),
-                expected
-            );
-            // A second pass over the warm memo must answer identically —
-            // the memo never changes answers, only their cost.
-            assert_eq!(
-                try_exact_races_with_memo(&ctx, &mut memo, None).unwrap(),
-                expected
-            );
+            let g = guarantee(&exec);
+            // One hook refutes nothing, the other every pair G orders.
+            for use_g in [false, true] {
+                let hook = |a: EventId, b: EventId| {
+                    use_g && (g.contains(a.index(), b.index()) || g.contains(b.index(), a.index()))
+                };
+                let mut memo = QueryMemo::new(&ctx);
+                // A second pass over the warm memo must answer identically —
+                // the memo never changes answers, only their cost, and a
+                // sound refutation hook only skips searches.
+                for pass in ["cold", "warm"] {
+                    assert_eq!(
+                        try_exact_races_with_memo(&ctx, &mut memo, hook).unwrap(),
+                        expected,
+                        "G hook {use_g}, {pass} memo"
+                    );
+                }
+            }
         }
     }
 

@@ -13,8 +13,9 @@
 //! The operational could-be-concurrent relation asks whether both events
 //! can be simultaneously *ready*, which a forced execution order does not
 //! preclude. CCW facts come only from CCW-shaped answers (engine results,
-//! the summary, or the polynomial guarantee relation, which is sound for
-//! CCW by the argument in `eo_engine::degraded`).
+//! the summary, or the polynomial guarantee relation, whose edges are
+//! enablement orders and so refute CCW; see `decide_from_guarantee` in
+//! `session.rs`).
 
 use eo_engine::Query;
 use eo_model::EventId;
@@ -162,15 +163,15 @@ impl FactStore {
     }
 }
 
-/// A small LRU for witness schedules, keyed on (program fingerprint,
-/// query). Witnesses are the bulky answers — full schedules — so unlike
+/// A small LRU for witness schedules, keyed on the query (each session
+/// owns one, over one program). Witnesses are the bulky answers — full schedules — so unlike
 /// the bit-matrix fact store they are capacity-bounded: when full, the
 /// least-recently-used entry is evicted (an O(capacity) scan; capacities
 /// are small enough that a heap would cost more than it saves).
 pub(crate) struct WitnessCache {
     capacity: usize,
     clock: u64,
-    map: FxHashMap<(u64, Query), Entry>,
+    map: FxHashMap<Query, Entry>,
 }
 
 /// A cached witness answer (`None` = proved absent) plus its LRU stamp.
@@ -191,21 +192,21 @@ impl WitnessCache {
     /// The cached witness for `query`, refreshing its recency. The outer
     /// `Option` is hit/miss; the inner one is the cached answer (`None`
     /// meaning "proved: no witness exists").
-    pub(crate) fn get(&mut self, fingerprint: u64, query: Query) -> Option<Option<Vec<EventId>>> {
+    pub(crate) fn get(&mut self, query: Query) -> Option<Option<Vec<EventId>>> {
         self.clock += 1;
         let clock = self.clock;
-        let entry = self.map.get_mut(&(fingerprint, query))?;
+        let entry = self.map.get_mut(&query)?;
         entry.stamp = clock;
         Some(entry.witness.clone())
     }
 
-    pub(crate) fn put(&mut self, fingerprint: u64, query: Query, witness: Option<Vec<EventId>>) {
+    pub(crate) fn put(&mut self, query: Query, witness: Option<Vec<EventId>>) {
         if self.capacity == 0 {
             return;
         }
         self.clock += 1;
         self.map.insert(
-            (fingerprint, query),
+            query,
             Entry {
                 stamp: self.clock,
                 witness,
@@ -277,13 +278,12 @@ mod tests {
             first: e(i),
             second: e(i + 1),
         };
-        c.put(7, q(0), Some(vec![e(0)]));
-        c.put(7, q(1), None);
-        assert_eq!(c.get(7, q(0)), Some(Some(vec![e(0)]))); // refresh q(0)
-        c.put(7, q(2), None); // evicts q(1)
+        c.put(q(0), Some(vec![e(0)]));
+        c.put(q(1), None);
+        assert_eq!(c.get(q(0)), Some(Some(vec![e(0)]))); // refresh q(0)
+        c.put(q(2), None); // evicts q(1)
         assert_eq!(c.len(), 2);
-        assert!(c.get(7, q(1)).is_none());
-        assert_eq!(c.get(7, q(0)), Some(Some(vec![e(0)])));
-        assert!(c.get(8, q(0)).is_none(), "fingerprint keys the cache");
+        assert!(c.get(q(1)).is_none());
+        assert_eq!(c.get(q(0)), Some(Some(vec![e(0)])));
     }
 }

@@ -11,9 +11,8 @@
 //! * [`AnalysisSession`] owns one interned state space (the engine's
 //!   [`QueryMemo`](eo_engine::QueryMemo)) for the program, so every
 //!   search a query runs enlarges a shared arena instead of a throwaway
-//!   one, plus a [`cache`] layer (pairwise fact store + witness LRU,
-//!   keyed on the program fingerprint) that answers implied queries
-//!   without searching at all.
+//!   one, plus a [`cache`] layer (pairwise fact store + witness LRU)
+//!   that answers implied queries without searching at all.
 //! * [`protocol`] is the JSON request/response vocabulary `eo serve`
 //!   speaks: NDJSON on stdin or a `--batch` array file in, one
 //!   response document per request out, stamped with the current `SCHEMA_VERSION`.

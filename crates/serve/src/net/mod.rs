@@ -49,13 +49,12 @@ pub mod client;
 pub use client::NetClient;
 pub use frame::{encode, FrameDecoder, FrameEvent};
 
-use crate::protocol::render_error_at;
+use crate::protocol::{render_doc, render_error_at};
 use crate::server::Disposition;
 use crate::session::SessionConfig;
 use conn::{Conn, ReadOutcome};
 use eo_engine::{Budget, CancelHandle};
 use eo_obs::json::{self, Value};
-use eo_obs::report::SCHEMA_VERSION;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -560,7 +559,7 @@ impl Reactor {
                 };
                 match value.get("op").and_then(Value::as_str) {
                     Some("ping") => {
-                        let doc = render_doc(&value.get("id").cloned(), "ping", "ok", vec![]);
+                        let doc = render_doc(&value.get("id").cloned(), "ping", "ok", |_| {});
                         self.enqueue(conn, &doc, false);
                     }
                     Some("open") => self.handle_open(conn, &value, seq),
@@ -603,19 +602,11 @@ impl Reactor {
                     self.store.detach(old);
                 }
                 conn.attached = Some(fingerprint);
-                let doc = render_doc(
-                    &id,
-                    "open",
-                    "ok",
-                    vec![
-                        (
-                            "program".to_owned(),
-                            Value::Str(format!("{fingerprint:016x}")),
-                        ),
-                        ("events".to_owned(), Value::Int(events as i64)),
-                        ("fresh".to_owned(), Value::Bool(fresh)),
-                    ],
-                );
+                let doc = render_doc(&id, "open", "ok", |doc| {
+                    doc.str("program", &format!("{fingerprint:016x}"))
+                        .int("events", events as i64)
+                        .bool("fresh", fresh);
+                });
                 self.enqueue(conn, &doc, false);
             }
         }
@@ -712,29 +703,45 @@ impl Reactor {
     }
 }
 
-/// Builds one response document (current `SCHEMA_VERSION`) with the shared
-/// header fields plus `extra`.
-fn render_doc(id: &Option<Value>, op: &str, status: &str, extra: Vec<(String, Value)>) -> String {
-    let mut fields = vec![
-        ("schema_version".to_owned(), Value::Int(SCHEMA_VERSION)),
-        ("id".to_owned(), id.clone().unwrap_or(Value::Null)),
-        ("op".to_owned(), Value::Str(op.to_owned())),
-        ("status".to_owned(), Value::Str(status.to_owned())),
-    ];
-    fields.extend(extra);
-    Value::Obj(fields).to_json()
-}
-
 /// The structured admission-rejection document: the client should retry
 /// after `retry_after_ms` (with jitter of its own choosing).
 fn render_overloaded(id: &Option<Value>, op: &str, retry_after_ms: u64) -> String {
-    render_doc(
-        id,
-        op,
-        "overloaded",
-        vec![(
-            "retry_after_ms".to_owned(),
-            Value::Int(retry_after_ms as i64),
-        )],
-    )
+    render_doc(id, op, "overloaded", |doc| {
+        doc.int("retry_after_ms", retry_after_ms as i64);
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn server_documents_keep_their_bytes() {
+        let awkward = Some(Value::Str("q\"b\\c\u{1}\n".to_owned()));
+        let open = render_doc(&awkward, "open", "ok", |doc| {
+            doc.str("program", &format!("{:016x}", 0x00ab_cdef_u64))
+                .int("events", 12)
+                .bool("fresh", true);
+        });
+        for (rendered, expected) in [
+            (
+                render_doc(&Some(Value::Int(1)), "ping", "ok", |_| {}),
+                r#"{"schema_version":2,"id":1,"op":"ping","status":"ok"}"#,
+            ),
+            (
+                open,
+                r#"{"schema_version":2,"id":"q\"b\\c\u0001\n","op":"open","status":"ok","program":"0000000000abcdef","events":12,"fresh":true}"#,
+            ),
+            (
+                render_overloaded(&None, "connect", 25),
+                r#"{"schema_version":2,"id":null,"op":"connect","status":"overloaded","retry_after_ms":25}"#,
+            ),
+            (
+                render_overloaded(&Some(Value::Int(4)), "witness_before", 100),
+                r#"{"schema_version":2,"id":4,"op":"witness_before","status":"overloaded","retry_after_ms":100}"#,
+            ),
+        ] {
+            assert_eq!(rendered, expected);
+        }
+    }
 }

@@ -26,7 +26,7 @@
 use crate::session::SessionReply;
 use eo_engine::{Answer, EngineError, Query, QueryBackend};
 use eo_model::{EventId, ProgramExecution};
-use eo_obs::json::{self, Value};
+use eo_obs::json::{self, Members, Value};
 use eo_obs::report::SCHEMA_VERSION;
 use eo_race::Race;
 
@@ -191,138 +191,121 @@ fn event_ref(exec: &ProgramExecution, v: &Value, key: &str) -> Result<EventId, S
     }
 }
 
-fn base_fields(id: &Option<Value>, op: &str, status: &str) -> Vec<(String, Value)> {
-    vec![
-        ("schema_version".to_owned(), Value::Int(SCHEMA_VERSION)),
-        ("id".to_owned(), id.clone().unwrap_or(Value::Null)),
-        ("op".to_owned(), Value::Str(op.to_owned())),
-        ("status".to_owned(), Value::Str(status.to_owned())),
-    ]
-}
-
-fn witness_value(witness: &Option<Vec<EventId>>) -> Value {
-    match witness {
-        None => Value::Null,
-        Some(schedule) => Value::Arr(
-            schedule
-                .iter()
-                .map(|e| Value::Int(e.index() as i64))
-                .collect(),
-        ),
-    }
+/// Writes one response document: the header every reply carries
+/// (`schema_version`, the echoed `id`, `op`, `status`), then the members
+/// `body` adds, as compact JSON in one `String`. The network server's own
+/// documents (`ping`, `open`, `overloaded`) go through it too.
+pub(crate) fn render_doc(
+    id: &Option<Value>,
+    op: &str,
+    status: &str,
+    body: impl FnOnce(&mut Members<'_>),
+) -> String {
+    // Room for a point reply (about 100 bytes) or a short witness, so
+    // most documents never regrow.
+    let mut out = String::with_capacity(160);
+    let mut doc = Members::open(&mut out);
+    doc.int("schema_version", SCHEMA_VERSION)
+        .value("id", id.as_ref().unwrap_or(&Value::Null))
+        .str("op", op)
+        .str("status", status);
+    body(&mut doc);
+    doc.close();
+    out
 }
 
 /// Renders one exact session reply as a response document.
 pub fn render_reply(id: &Option<Value>, reply: &SessionReply) -> String {
-    let mut fields = base_fields(id, reply.response.query.op_name(), "exact");
-    fields.push(("cached".to_owned(), Value::Bool(reply.cached)));
-    fields.push((
-        "prefilter".to_owned(),
-        Value::Bool(reply.prefilter || reply.static_prefilter),
-    ));
-    // Additive disposition marker: present only when the whole-program
-    // static tier answered, so default-config responses are byte-stable.
-    if reply.static_prefilter {
-        fields.push(("prefilter_tier".to_owned(), Value::Str("static".to_owned())));
-    }
-    // Same additive pattern for the non-default backend: `--backend sat`
-    // sessions tag every reply, default sessions stay byte-stable.
-    if reply.backend != QueryBackend::Exact {
-        fields.push((
-            "backend".to_owned(),
-            Value::Str(reply.backend.label().to_owned()),
-        ));
-    }
-    // Additive engine-config echo: sessions opened from an explicit
-    // `EngineConfig` (`--config`) tag every reply with the non-default
-    // fields; default sessions carry no `config` object at all.
-    if !reply.config_echo.is_empty() {
-        fields.push((
-            "config".to_owned(),
-            Value::Obj(
-                reply
-                    .config_echo
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), Value::Str(v.clone())))
-                    .collect(),
-            ),
-        ));
-    }
-    // Whole-program summary replies also echo the primitive classes the
-    // analyzed trace uses (always the core calculus — surface primitives
-    // reach the engine desugared).
-    if !reply.primitives.is_empty() {
-        fields.push((
-            "primitives".to_owned(),
-            Value::Arr(
-                reply
-                    .primitives
-                    .iter()
-                    .map(|p| Value::Str((*p).to_owned()))
-                    .collect(),
-            ),
-        ));
-    }
-    match &reply.response.answer {
-        Answer::Decided(v) => fields.push(("answer".to_owned(), Value::Bool(*v))),
-        Answer::Witness(w) => fields.push(("witness".to_owned(), witness_value(w))),
-        Answer::Summary(s) => {
-            let mhb_pairs = s.mhb_relation().pair_count();
-            fields.push((
-                "summary".to_owned(),
-                Value::Obj(vec![
-                    ("events".to_owned(), Value::Int(s.n_events() as i64)),
-                    ("classes".to_owned(), Value::Int(s.class_count() as i64)),
-                    ("states".to_owned(), Value::Int(s.state_count() as i64)),
-                    ("mhb_pairs".to_owned(), Value::Int(mhb_pairs as i64)),
-                    (
-                        "chb_pairs".to_owned(),
-                        Value::Int(s.chb_relation().pair_count() as i64),
-                    ),
-                    (
-                        "ccw_pairs".to_owned(),
-                        Value::Int(s.ccw_relation().pair_count() as i64),
-                    ),
-                ]),
-            ));
+    render_doc(id, reply.response.query.op_name(), "exact", |doc| {
+        doc.bool("cached", reply.cached)
+            .bool("prefilter", reply.prefilter || reply.static_prefilter);
+        // Additive disposition marker: present only when the whole-program
+        // static tier answered, so default-config responses are byte-stable.
+        if reply.static_prefilter {
+            doc.str("prefilter_tier", "static");
         }
-        other => fields.push(("answer_debug".to_owned(), Value::Str(format!("{other:?}")))),
-    }
-    Value::Obj(fields).to_json()
+        // Same additive pattern for the non-default backend: `--backend sat`
+        // sessions tag every reply, default sessions stay byte-stable.
+        if reply.backend != QueryBackend::Exact {
+            doc.str("backend", reply.backend.label());
+        }
+        // Additive engine-config echo: sessions opened from an explicit
+        // `EngineConfig` (`--config`) tag every reply with the non-default
+        // fields; default sessions carry no `config` object at all.
+        if !reply.config_echo.is_empty() {
+            let mut config = doc.object("config");
+            for (k, v) in &reply.config_echo {
+                config.str(k, v);
+            }
+            config.close();
+        }
+        // Whole-program summary replies also echo the primitive classes the
+        // analyzed trace uses (always the core calculus — surface primitives
+        // reach the engine desugared).
+        if !reply.primitives.is_empty() {
+            let mut primitives = doc.array("primitives");
+            for p in &reply.primitives {
+                primitives.str(p);
+            }
+            primitives.close();
+        }
+        match &reply.response.answer {
+            Answer::Decided(v) => {
+                doc.bool("answer", *v);
+            }
+            Answer::Witness(None) => {
+                doc.value("witness", &Value::Null);
+            }
+            Answer::Witness(Some(schedule)) => {
+                let mut witness = doc.array("witness");
+                for e in schedule {
+                    witness.int(e.index() as i64);
+                }
+                witness.close();
+            }
+            Answer::Summary(s) => {
+                let mut summary = doc.object("summary");
+                summary
+                    .int("events", s.n_events() as i64)
+                    .int("classes", s.class_count() as i64)
+                    .int("states", s.state_count() as i64)
+                    .int("mhb_pairs", s.mhb_relation().pair_count() as i64)
+                    .int("chb_pairs", s.chb_relation().pair_count() as i64)
+                    .int("ccw_pairs", s.ccw_relation().pair_count() as i64);
+                summary.close();
+            }
+            other => {
+                doc.str("answer_debug", &format!("{other:?}"));
+            }
+        }
+    })
 }
 
 /// Renders the race report response.
 pub fn render_races(id: &Option<Value>, races: &[Race], cached: bool) -> String {
-    let mut fields = base_fields(id, "races", "exact");
-    fields.push(("cached".to_owned(), Value::Bool(cached)));
-    fields.push(("prefilter".to_owned(), Value::Bool(false)));
-    fields.push(("count".to_owned(), Value::Int(races.len() as i64)));
-    fields.push((
-        "races".to_owned(),
-        Value::Arr(
-            races
-                .iter()
-                .map(|r| {
-                    Value::Obj(vec![
-                        ("first".to_owned(), Value::Int(r.first.index() as i64)),
-                        ("second".to_owned(), Value::Int(r.second.index() as i64)),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Value::Obj(fields).to_json()
+    render_doc(id, "races", "exact", |doc| {
+        // The guarantee tier only spares a report some of its searches;
+        // it never decides the report, so `prefilter` stays false.
+        doc.bool("cached", cached)
+            .bool("prefilter", false)
+            .int("count", races.len() as i64);
+        let mut list = doc.array("races");
+        for r in races {
+            let mut pair = list.object();
+            pair.int("first", r.first.index() as i64)
+                .int("second", r.second.index() as i64);
+            pair.close();
+        }
+        list.close();
+    })
 }
 
 /// Renders a degraded response: the budget stopped this query's search.
 pub fn render_degraded(id: &Option<Value>, op: &str, error: &EngineError) -> String {
-    let mut fields = base_fields(id, op, "degraded");
-    fields.push((
-        "cause".to_owned(),
-        Value::Str(error.cause_label().to_owned()),
-    ));
-    fields.push(("error".to_owned(), Value::Str(error.to_string())));
-    Value::Obj(fields).to_json()
+    render_doc(id, op, "degraded", |doc| {
+        doc.str("cause", error.cause_label())
+            .str("error", &error.to_string());
+    })
 }
 
 /// Renders a request-level error response (malformed request, unknown
@@ -338,17 +321,19 @@ pub fn render_error(id: &Option<Value>, message: &str) -> String {
 /// additive — responses without a known position render exactly as
 /// before.
 pub fn render_error_at(id: &Option<Value>, message: &str, line: Option<usize>) -> String {
-    let mut fields = base_fields(id, "error", "error");
-    if let Some(n) = line {
-        fields.push(("line".to_owned(), Value::Int(n as i64)));
-    }
-    fields.push(("error".to_owned(), Value::Str(message.to_owned())));
-    Value::Obj(fields).to_json()
+    render_doc(id, "error", "error", |doc| {
+        if let Some(n) = line {
+            doc.int("line", n as i64);
+        }
+        doc.str("error", message);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::AnalysisSession;
+    use eo_engine::Response;
     use eo_model::{fixtures, ProgramExecution};
 
     fn figure1() -> ProgramExecution {
@@ -435,5 +420,152 @@ mod tests {
         assert_eq!(v.get("id").and_then(Value::as_i64), Some(7));
         assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
         assert_eq!(v.get("error").and_then(Value::as_str), Some("boom"));
+
+        // Exact bytes of the reply shapes the committed golden batch never
+        // produces, so any change to the writer shows up here.
+        fn e(i: usize) -> EventId {
+            EventId::new(i)
+        }
+        fn point(query: Query, answer: Answer) -> SessionReply {
+            SessionReply {
+                response: Response::new(query, answer),
+                cached: false,
+                prefilter: false,
+                static_prefilter: false,
+                backend: QueryBackend::Exact,
+                config_echo: Vec::new(),
+                primitives: Vec::new(),
+            }
+        }
+        let awkward = Some(Value::Str("q\"b\\c\u{1}\n".to_owned()));
+        let object_id = Some(Value::Obj(vec![
+            ("run".to_owned(), Value::Str("r1".to_owned())),
+            (
+                "seq".to_owned(),
+                Value::Arr(vec![Value::Int(3), Value::Null, Value::Num(0.5)]),
+            ),
+        ]));
+        let mhb = Query::Mhb { a: e(0), b: e(2) };
+        let static_ccw = SessionReply {
+            static_prefilter: true,
+            ..point(Query::Ccw { a: e(1), b: e(3) }, Answer::Decided(false))
+        };
+        let sat_chb = SessionReply {
+            backend: QueryBackend::Sat,
+            cached: true,
+            ..point(Query::Chb { a: e(3), b: e(1) }, Answer::Decided(true))
+        };
+        let echoed = SessionReply {
+            prefilter: true,
+            backend: QueryBackend::Sat,
+            config_echo: vec![
+                ("backend", "sat".to_owned()),
+                ("equiv", "odd \"value\"\\\t".to_owned()),
+            ],
+            ..point(Query::Mhb { a: e(1), b: e(2) }, Answer::Decided(true))
+        };
+        let no_witness = point(
+            Query::WitnessBefore {
+                first: e(2),
+                second: e(0),
+            },
+            Answer::Witness(None),
+        );
+        let witness = point(
+            Query::WitnessOverlap { a: e(0), b: e(3) },
+            Answer::Witness(Some(vec![e(0), e(1), e(3), e(2)])),
+        );
+        let exec = figure1();
+        let summary = AnalysisSession::new(&exec)
+            .query(Query::Summary)
+            .expect("no budget");
+        let two = [
+            Race {
+                first: e(0),
+                second: e(4),
+            },
+            Race {
+                first: e(2),
+                second: e(3),
+            },
+        ];
+        let cases: Vec<(String, &str)> = vec![
+            (
+                render_reply(&awkward, &point(mhb, Answer::Decided(true))),
+                r#"{"schema_version":2,"id":"q\"b\\c\u0001\n","op":"mhb","status":"exact","cached":false,"prefilter":false,"answer":true}"#,
+            ),
+            (
+                render_reply(&object_id, &point(mhb, Answer::Decided(false))),
+                r#"{"schema_version":2,"id":{"run":"r1","seq":[3,null,0.5]},"op":"mhb","status":"exact","cached":false,"prefilter":false,"answer":false}"#,
+            ),
+            (
+                render_reply(&Some(Value::Int(5)), &static_ccw),
+                r#"{"schema_version":2,"id":5,"op":"ccw","status":"exact","cached":false,"prefilter":true,"prefilter_tier":"static","answer":false}"#,
+            ),
+            (
+                render_reply(&None, &sat_chb),
+                r#"{"schema_version":2,"id":null,"op":"chb","status":"exact","cached":true,"prefilter":false,"backend":"sat","answer":true}"#,
+            ),
+            (
+                render_reply(&Some(Value::Bool(true)), &echoed),
+                r#"{"schema_version":2,"id":true,"op":"mhb","status":"exact","cached":false,"prefilter":true,"backend":"sat","config":{"backend":"sat","equiv":"odd \"value\"\\\t"},"answer":true}"#,
+            ),
+            (
+                render_reply(&Some(Value::Int(8)), &no_witness),
+                r#"{"schema_version":2,"id":8,"op":"witness_before","status":"exact","cached":false,"prefilter":false,"witness":null}"#,
+            ),
+            (
+                render_reply(&Some(Value::Int(9)), &witness),
+                r#"{"schema_version":2,"id":9,"op":"witness_overlap","status":"exact","cached":false,"prefilter":false,"witness":[0,1,3,2]}"#,
+            ),
+            (
+                render_reply(&Some(Value::Str("sum".to_owned())), &summary),
+                r#"{"schema_version":2,"id":"sum","op":"summary","status":"exact","cached":false,"prefilter":false,"primitives":["compute","event-var","fork-join"],"summary":{"events":7,"classes":2,"states":11,"mhb_pairs":18,"chb_pairs":24,"ccw_pairs":6}}"#,
+            ),
+            (
+                render_races(&Some(Value::Int(10)), &[], false),
+                r#"{"schema_version":2,"id":10,"op":"races","status":"exact","cached":false,"prefilter":false,"count":0,"races":[]}"#,
+            ),
+            (
+                render_races(&Some(Value::Int(11)), &two, true),
+                r#"{"schema_version":2,"id":11,"op":"races","status":"exact","cached":true,"prefilter":false,"count":2,"races":[{"first":0,"second":4},{"first":2,"second":3}]}"#,
+            ),
+            (
+                render_degraded(
+                    &Some(Value::Int(12)),
+                    "ccw",
+                    &EngineError::StateSpaceExceeded { limit: 64 },
+                ),
+                r#"{"schema_version":2,"id":12,"op":"ccw","status":"degraded","cause":"state-cap","error":"state space exceeded the 64-state budget"}"#,
+            ),
+            (
+                render_degraded(&None, "races", &EngineError::DeadlineExceeded { ms: 250 }),
+                r#"{"schema_version":2,"id":null,"op":"races","status":"degraded","cause":"deadline","error":"analysis exceeded its 250 ms wall-clock deadline"}"#,
+            ),
+            (
+                render_degraded(&Some(Value::Int(13)), "summary", &EngineError::Cancelled),
+                r#"{"schema_version":2,"id":13,"op":"summary","status":"degraded","cause":"cancelled","error":"analysis cancelled"}"#,
+            ),
+            (
+                render_error_at(&Some(Value::Int(14)), "no event labeled \"x\\y\"", Some(3)),
+                r#"{"schema_version":2,"id":14,"op":"error","status":"error","line":3,"error":"no event labeled \"x\\y\""}"#,
+            ),
+            (
+                // DEL (0x7f) is printable JSON and passes through raw.
+                render_error_at(&awkward, "bad\u{7f}\u{1f}", Some(41)),
+                concat!(
+                    r#"{"schema_version":2,"id":"q\"b\\c\u0001\n","op":"error","status":"error","line":41,"error":"bad"#,
+                    "\u{7f}",
+                    r#"\u001f"}"#
+                ),
+            ),
+            (
+                render_error(&None, "worker failed while serving this request"),
+                r#"{"schema_version":2,"id":null,"op":"error","status":"error","error":"worker failed while serving this request"}"#,
+            ),
+        ];
+        for (rendered, expected) in cases {
+            assert_eq!(rendered, expected);
+        }
     }
 }

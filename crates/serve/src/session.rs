@@ -162,7 +162,6 @@ pub struct SessionReply {
 /// the server shards batches across independent sessions instead.
 pub struct AnalysisSession<'e> {
     exec: &'e ProgramExecution,
-    fingerprint: u64,
     config: SessionConfig,
     ctx: SearchCtx<'e>,
     memo: QueryMemo,
@@ -181,6 +180,9 @@ pub struct AnalysisSession<'e> {
     summary: Option<Box<OrderingSummary>>,
     races: Option<Vec<Race>>,
     guarantee: Option<Relation>,
+    /// Whether a point query has consulted `guarantee` yet (and, with
+    /// caching on, seeded it into the fact store).
+    guarantee_seeded: bool,
     static_facts: Option<Box<StaticFacts>>,
     stats: SessionStats,
 }
@@ -211,7 +213,6 @@ impl<'e> AnalysisSession<'e> {
         let n = exec.n_events();
         AnalysisSession {
             exec,
-            fingerprint: fingerprint(exec),
             witnesses: WitnessCache::new(WITNESS_CAPACITY),
             config,
             ctx,
@@ -223,6 +224,7 @@ impl<'e> AnalysisSession<'e> {
             summary: None,
             races: None,
             guarantee: None,
+            guarantee_seeded: false,
             static_facts: None,
             stats: SessionStats::default(),
         }
@@ -231,12 +233,6 @@ impl<'e> AnalysisSession<'e> {
     /// The program execution this session analyses.
     pub fn exec(&self) -> &'e ProgramExecution {
         self.exec
-    }
-
-    /// A stable fingerprint of the program's trace; result caches are
-    /// keyed on it so cached answers can never leak across programs.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Counters so far.
@@ -317,7 +313,12 @@ impl<'e> AnalysisSession<'e> {
     }
 
     /// The exact race report for this program (operational F(P)). Memoized
-    /// after the first call when caching is on.
+    /// after the first call when caching is on. Candidate pairs pass the
+    /// refutation tiers a point query passes before any search: the
+    /// whole-program static verdicts when `static_prefilter` is on, and
+    /// the guarantee relation G in either direction when `prefilter` is
+    /// on (the comment in `decide_from_guarantee` says why G refutes
+    /// overlap).
     pub fn races(&mut self) -> Result<(Vec<Race>, bool), EngineError> {
         self.stats.queries += 1;
         if self.config.cache {
@@ -330,22 +331,26 @@ impl<'e> AnalysisSession<'e> {
         if self.config.static_prefilter {
             self.static_facts();
         }
+        if self.config.prefilter {
+            self.guarantee_relation();
+        }
+        let g = self.guarantee.as_ref();
         let facts = self.static_facts.as_deref();
-        let prefilter = facts.map(|f| eo_race::StaticPrefilter::new(&f.mhp, &f.stmt_of));
+        let static_tier = facts.map(|f| eo_race::StaticPrefilter::new(&f.mhp, &f.stmt_of));
+        let refutes = |a: EventId, b: EventId| {
+            g.is_some_and(|g| g.contains(a.index(), b.index()) || g.contains(b.index(), a.index()))
+                || static_tier.as_ref().is_some_and(|pf| pf.refutes(a, b))
+        };
         let races = if self.config.engine.mode == FeasibilityMode::IgnoreDependences {
-            eo_race::try_exact_races_with_memo(&self.ctx, &mut self.memo, prefilter.as_ref())?
+            eo_race::try_exact_races_with_memo(&self.ctx, &mut self.memo, refutes)?
         } else {
-            if self.race_ctx.is_none() {
-                self.race_ctx = Some(SearchCtx::new(
-                    self.exec,
-                    FeasibilityMode::IgnoreDependences,
-                ));
-            }
-            let ctx = self.race_ctx.as_ref().expect("race ctx just installed");
+            let ctx = self.race_ctx.get_or_insert_with(|| {
+                SearchCtx::new(self.exec, FeasibilityMode::IgnoreDependences)
+            });
             let memo = self.race_memo.get_or_insert_with(|| {
                 QueryMemo::with_budget(ctx, self.config.engine.effective_budget())
             });
-            eo_race::try_exact_races_with_memo(ctx, memo, prefilter.as_ref())?
+            eo_race::try_exact_races_with_memo(ctx, memo, refutes)?
         };
         if self.config.cache {
             self.races = Some(races.clone());
@@ -462,7 +467,7 @@ impl<'e> AnalysisSession<'e> {
             query
         };
         if self.config.cache {
-            if let Some(w) = self.witnesses.get(self.fingerprint, key) {
+            if let Some(w) = self.witnesses.get(key) {
                 self.stats.cache_hits += 1;
                 return Ok(self.reply(query, Answer::Witness(w), true, false));
             }
@@ -498,7 +503,7 @@ impl<'e> AnalysisSession<'e> {
                         FactKind::Chb
                     };
                     self.facts.record(kind, a, b, false);
-                    self.witnesses.put(self.fingerprint, key, None);
+                    self.witnesses.put(key, None);
                 }
                 return Ok(self.reply_static(query, Answer::Witness(None)));
             }
@@ -520,7 +525,7 @@ impl<'e> AnalysisSession<'e> {
                         FactKind::Chb
                     };
                     self.facts.record(kind, a, b, false);
-                    self.witnesses.put(self.fingerprint, key, None);
+                    self.witnesses.put(key, None);
                 }
                 return Ok(self.reply(query, Answer::Witness(None), false, true));
             }
@@ -544,7 +549,7 @@ impl<'e> AnalysisSession<'e> {
                 FactKind::Chb
             };
             self.facts.record(kind, a, b, w.is_some());
-            self.witnesses.put(self.fingerprint, key, w.clone());
+            self.witnesses.put(key, w.clone());
         }
         Ok(self.reply(query, Answer::Witness(w), false, false))
     }
@@ -604,19 +609,33 @@ impl<'e> AnalysisSession<'e> {
     }
 
     /// The guarantee relation G = HMW safe orderings ∪ EGP task graph,
-    /// transitively closed — built lazily on first use and seeded into the
-    /// fact store when caching is on.
-    fn guarantee(&mut self) -> &Relation {
-        if self.guarantee.is_none() {
-            let mut g = SafeOrderings::compute(self.exec).relation().clone();
-            g.union_with(TaskGraph::build(self.exec).relation());
+    /// transitively closed — built lazily by the first point query or
+    /// race report that needs it.
+    fn guarantee_relation(&mut self) -> &Relation {
+        let exec = self.exec;
+        self.guarantee.get_or_insert_with(|| {
+            let mut g = SafeOrderings::compute(exec).relation().clone();
+            g.union_with(TaskGraph::build(exec).relation());
             g.close_transitively();
+            g
+        })
+    }
+
+    /// G as point queries consult it: the first one seeds it into the
+    /// fact store when caching is on. A race report builds G without
+    /// seeding, so whether a later point query is a cache hit or a
+    /// prefilter answer does not depend on where the race report stood
+    /// in the batch.
+    fn guarantee(&mut self) -> &Relation {
+        if !self.guarantee_seeded {
+            self.guarantee_seeded = true;
+            self.guarantee_relation();
             if self.config.cache {
-                self.facts.seed_guarantee(&g);
+                let g = self.guarantee.as_ref().expect("guarantee just built");
+                self.facts.seed_guarantee(g);
             }
-            self.guarantee = Some(g);
         }
-        self.guarantee.as_ref().expect("guarantee just built")
+        self.guarantee.as_ref().expect("guarantee built above")
     }
 }
 
@@ -641,7 +660,26 @@ fn decide_from_guarantee(g: &Relation, kind: FactKind, a: EventId, b: EventId) -
                 None
             }
         }
-        // A guaranteed order in either direction rules out overlap.
+        // A guaranteed order in either direction rules out overlap. Not
+        // because G ⊆ MHB: a forced execution order still lets two events
+        // be enabled at once. It holds because every edge of G is an
+        // *enablement order* — `b` is not enabled in any reachable state
+        // in which `a` has not executed:
+        // * program order and fork/join: `b`'s process reaches `b`, a
+        //   child its first event, a join its turn, only after `a`;
+        // * HMW's counting rule: once a P `p` is enabled, its R-earlier
+        //   P's have run, so enough V's have run to cover them and `p`;
+        //   no V that R orders after `p` can have run, so when the
+        //   candidate set C is exactly that large, every member of C has;
+        // * EGP: a Wait is enabled only once some candidate Post has set
+        //   its flag, and each closest common ancestor precedes every
+        //   candidate.
+        // Enablement orders compose, so the closure keeps the property,
+        // and no rule reads →D, so it holds in both feasibility modes. If
+        // `a` and `b` were ever enabled together, neither would have
+        // executed, so G orders them in neither direction. The static
+        // tier's relation carries its own proof of the same property
+        // (`eo_mhp::MhpAnalysis::event_orderings`).
         FactKind::Ccw => (g.contains(ai, bi) || g.contains(bi, ai)).then_some(false),
     }
 }
@@ -675,7 +713,8 @@ pub fn primitive_set(exec: &ProgramExecution) -> Vec<&'static str> {
     out
 }
 
-/// Fingerprints a program execution by hashing its canonical trace JSON.
+/// Fingerprints a program execution by hashing its canonical trace JSON:
+/// the network server's session store keys open programs by it.
 pub fn fingerprint(exec: &ProgramExecution) -> u64 {
     let mut h = FxHasher::default();
     h.write(exec.trace().to_json().as_bytes());

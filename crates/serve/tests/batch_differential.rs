@@ -154,6 +154,16 @@ fn assert_answers_match(
     }
 }
 
+/// The (cache, prefilter, static prefilter) session configs both
+/// differentials sweep.
+const CONFIGS: [(bool, bool, bool); 5] = [
+    (true, true, false),
+    (true, false, false),
+    (false, false, false),
+    (true, true, true),
+    (false, false, true),
+];
+
 #[test]
 fn batched_sessions_match_one_shot_engines_everywhere() {
     for (label, exec, mode) in programs() {
@@ -169,13 +179,7 @@ fn batched_sessions_match_one_shot_engines_everywhere() {
                     .answer
             })
             .collect();
-        for (cache, prefilter, static_prefilter) in [
-            (true, true, false),
-            (true, false, false),
-            (false, false, false),
-            (true, true, true),
-            (false, false, true),
-        ] {
+        for (cache, prefilter, static_prefilter) in CONFIGS {
             let config = format!("cache={cache},prefilter={prefilter},static={static_prefilter}");
             let mut session = AnalysisSession::with_config(
                 &exec,
@@ -213,27 +217,99 @@ fn batched_sessions_match_one_shot_engines_everywhere() {
 fn races_match_the_standalone_detector_in_both_modes() {
     for (label, exec, mode) in programs() {
         let expected = eo_race::exact_races(&exec);
-        for static_prefilter in [false, true] {
+        for (cache, prefilter, static_prefilter) in CONFIGS {
+            let config = format!("cache={cache},prefilter={prefilter},static={static_prefilter}");
             let mut session = AnalysisSession::with_config(
                 &exec,
                 SessionConfig {
                     engine: EngineOptions::with_mode(mode),
+                    cache,
+                    prefilter,
                     static_prefilter,
                     ..Default::default()
                 },
             );
             let (first, cached_first) = session.races().expect("no budget attached");
             let (second, cached_second) = session.races().expect("no budget attached");
-            assert_eq!(
-                first, expected,
-                "{label} static={static_prefilter}: session races differ"
-            );
+            assert_eq!(first, expected, "{label} [{config}]: session races differ");
             assert_eq!(
                 second, expected,
-                "{label} static={static_prefilter}: memoized races differ"
+                "{label} [{config}]: repeated races differ"
             );
-            assert!(!cached_first, "{label}");
-            assert!(cached_second, "{label}: second race query must be memoized");
+            assert!(!cached_first, "{label} [{config}]");
+            assert_eq!(
+                cached_second, cache,
+                "{label} [{config}]: a second race query is memoized iff caching is on"
+            );
         }
     }
+}
+
+/// A writer pipeline whose three writes of `x` are ordered by semaphore
+/// handshakes, beside an idle process that multiplies the lattice and one
+/// genuine race on `y` that is enabled from the start.
+fn ordered_pipeline_exec() -> ProgramExecution {
+    let mut b = eo_lang::ProgramBuilder::new();
+    let (s, t) = (b.semaphore("s"), b.semaphore("t"));
+    let (x, y) = (b.variable("x"), b.variable("y"));
+    let p0 = b.process("p0");
+    b.compute_rw(p0, &[], &[x], "w0");
+    b.sem_v(p0, s);
+    let p1 = b.process("p1");
+    b.sem_p(p1, s);
+    b.compute_rw(p1, &[], &[x], "w1");
+    b.sem_v(p1, t);
+    let p2 = b.process("p2");
+    b.sem_p(p2, t);
+    b.compute_rw(p2, &[], &[x], "w2");
+    let idle = b.process("idle");
+    for k in 0..4 {
+        b.compute_rw(idle, &[], &[], &format!("c{k}"));
+    }
+    let r0 = b.process("r0");
+    b.compute_rw(r0, &[], &[y], "y0");
+    let r1 = b.process("r1");
+    b.compute_rw(r1, &[], &[y], "y1");
+    let program = b.build();
+    let trace = eo_lang::run_to_trace(&program, &mut eo_lang::Scheduler::deterministic())
+        .expect("the pipeline cannot deadlock");
+    exec_of(trace)
+}
+
+#[test]
+fn the_guarantee_tier_keeps_races_under_a_state_cap_the_full_walk_trips() {
+    let exec = ordered_pipeline_exec();
+    let expected = eo_race::exact_races(&exec);
+    assert_eq!(expected.len(), 1, "only the two writes of y race");
+    let races_under = |prefilter: bool, max_states: usize| {
+        let budget = eo_engine::Budget::unlimited().with_max_states(max_states);
+        AnalysisSession::with_config(
+            &exec,
+            SessionConfig {
+                engine: EngineOptions {
+                    mode: FeasibilityMode::IgnoreDependences,
+                    budget: Some(budget),
+                    ..Default::default()
+                },
+                prefilter,
+                ..Default::default()
+            },
+        )
+        .races()
+        .map(|(races, _)| races)
+    };
+    // Unbudgeted, walking all four candidates interns 107 states; with G
+    // refuting the three ordered writes of x, the race on y takes 13.
+    let cap = 32;
+    assert!(
+        matches!(
+            races_under(false, cap),
+            Err(eo_engine::EngineError::StateSpaceExceeded { limit }) if limit == cap
+        ),
+        "walking every candidate must trip the {cap}-state cap"
+    );
+    assert_eq!(
+        races_under(true, cap).expect("G refutes the ordered writes"),
+        expected
+    );
 }
