@@ -1187,7 +1187,7 @@ fn main() {
         println!("== E19: enumeration vs symbolic — exact session vs incremental SAT session ==");
         println!(
             "(decisions asserted bit-identical across all three runs per row; \
-             best-of-3 timings; sweep ordered by state-space size)"
+             exact best-of-3, SAT best-of-11 timings; sweep ordered by state-space size)"
         );
         let mut rows = Vec::new();
         let mut json_rows = Vec::new();

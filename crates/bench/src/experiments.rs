@@ -1734,10 +1734,10 @@ pub struct SatBenchRow {
     /// Best-of-3 wall time for the exact witness-search session
     /// answering the whole batch.
     pub exact_time: Duration,
-    /// Best-of-3 wall time for ONE incremental SAT session answering the
-    /// whole batch (shared formula + learned-clause DB).
+    /// Best-of-11 wall time for ONE incremental SAT session answering
+    /// the whole batch (shared formula + learned-clause DB).
     pub sat_batch_time: Duration,
-    /// Best-of-3 wall time answering the batch with a FRESH SAT session
+    /// Best-of-11 wall time answering the batch with a FRESH SAT session
     /// per query (re-encode, empty clause DB every time).
     pub sat_fresh_time: Duration,
     /// Complete schedules the incremental session kept by the end of the
@@ -1810,6 +1810,9 @@ fn e19_batch(n_events: usize) -> Vec<(usize, EventId, EventId)> {
     batch
 }
 
+/// How many runs E19's SAT columns take the fastest of.
+const SAT_RUNS: usize = 11;
+
 /// Runs E19 on one execution under `mode`. Every decision is asserted
 /// bit-identical across the exact session, the incremental SAT session,
 /// and the per-query-fresh SAT sessions — the timings are only
@@ -1838,7 +1841,10 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
             .map(|&q| answer_exact(&mut session, q))
             .collect::<Vec<bool>>()
     });
-    let ((batch_answers, kept_schedules), sat_batch_time) = timed_best(3, || {
+    // The SAT columns run in 0.1–10 ms, where a best-of-3 still moved
+    // the incremental ratio by a quarter between runs; they take the
+    // fastest of 11.
+    let ((batch_answers, kept_schedules), sat_batch_time) = timed_best(SAT_RUNS, || {
         let mut session = SatSession::new(&ctx);
         let answers = batch
             .iter()
@@ -1846,7 +1852,7 @@ pub fn e19_sat_point(label: &str, exec: &ProgramExecution, mode: FeasibilityMode
             .collect::<Vec<bool>>();
         (answers, session.kept_schedules())
     });
-    let (fresh_answers, sat_fresh_time) = timed_best(3, || {
+    let (fresh_answers, sat_fresh_time) = timed_best(SAT_RUNS, || {
         batch
             .iter()
             .map(|&q| answer_sat(&mut SatSession::new(&ctx), q).expect("unbudgeted"))

@@ -180,6 +180,14 @@ impl<'a> SearchCtx<'a> {
         self.machine.is_complete(st)
     }
 
+    /// True iff `e` is co-enabled at `st`: it is its process's next
+    /// event, the machine enables it, and its →D predecessors have
+    /// executed.
+    pub fn can_fire(&self, st: &MachState, e: EventId) -> bool {
+        let p = self.exec.event(e).process;
+        matches!(self.machine.enabled(st, p), Ok(next) if next == e) && self.deps_satisfied(st, e)
+    }
+
     /// Replays `order` from the initial state under full feasibility
     /// (machine semantics **and** dependence gating). Returns the state
     /// reached, or `None` at the first event that is not co-enabled when
@@ -188,12 +196,10 @@ impl<'a> SearchCtx<'a> {
     pub fn replay(&self, order: impl IntoIterator<Item = EventId>) -> Option<MachState> {
         let mut st = self.initial_state();
         for e in order {
-            let p = self.exec.event(e).process;
-            let fires = matches!(self.machine.enabled(&st, p), Ok(next) if next == e);
-            if !fires || !self.deps_satisfied(&st, e) {
+            if !self.can_fire(&st, e) {
                 return None;
             }
-            self.machine.step(&mut st, p);
+            self.machine.step(&mut st, self.exec.event(e).process);
         }
         Some(st)
     }

@@ -9,21 +9,37 @@
 //!
 //! The encoding itself lives in [`eo_sym::PoEncoding`]: one Boolean
 //! variable per unordered event pair, unit facts for the transitive
-//! closure of →T and (mode permitting) →D, two "no 3-cycle" clauses per
-//! triple the base order leaves open, a token matching per semaphore, and
-//! trigger variables for event-variable causality. This module owns the
-//! *engine-facing* plumbing:
+//! closure of →T and (mode permitting) →D, "no 3-cycle" clauses only
+//! where that base order leaves transitivity open, a token matching per
+//! semaphore, and trigger variables for event-variable causality. This
+//! module owns the *engine-facing* plumbing:
 //!
-//! * [`SatSession`] — a long-lived query session over one encoding. It
-//!   keeps complete feasible schedules (the trace's observed order, then
-//!   the ones its solves find) and answers from them first: a CHB or MHB
-//!   question a kept schedule orders, and a CCW or overlap question whose
-//!   pair a kept schedule co-enables and can fire back to back, cost a
-//!   lookup and a linear replay. Only the rest reach the shared CDCL
-//!   solver, as one incremental `solve_assuming` call (CCW: up to two),
-//!   so conflict clauses learned by one query prune the next. A "no"
-//!   always comes from a solve. This is the `--backend sat` path of
-//!   `eo serve` and the subject of experiment E19.
+//! * [`SatSession`] — a long-lived query session over one encoding. A
+//!   "yes" has a certificate, a schedule that a linear replay checks, so
+//!   the session looks for one before it solves, in three steps:
+//!   1. **kept** — it keeps complete feasible schedules (the trace's
+//!      observed order, then the ones it finds) and answers a CHB or MHB
+//!      question that one of them orders from it;
+//!   2. **spliced** — a CCW or overlap question whose pair a kept
+//!      schedule co-enables is answered by splicing the pair back to back
+//!      at that prefix, if the splice replays to completion;
+//!   3. **constructed** — otherwise it replays one schedule from the
+//!      initial state. It fires the target as soon as it is co-enabled:
+//!      `first` for a before-query, `a` and `b` back to back, in either
+//!      order, for an overlap query. Until then it fires the co-enabled
+//!      event that `cl(base)` orders before a target, failing that the
+//!      one earliest in the observed order, and never `second` (or `a`,
+//!      `b`) early. After the target it completes in observed order. A
+//!      completed construction is the witness; an incomplete one proves
+//!      nothing.
+//!
+//!   Only the rest reach the shared CDCL solver, as one incremental
+//!   `solve_assuming` call (CCW: up to two), so conflict clauses learned
+//!   by one query prune the next. A "no" always comes from a solve. The
+//!   `sat.answers_{kept,spliced,constructed,solved}` counters say which
+//!   step found each "yes", and `sat.answers_refuted` counts the "no"s.
+//!   This is the `--backend sat` path of `eo serve` and the subject of
+//!   experiment E19.
 //! * the one-shot [`chb_via_sat`] / [`mhb_via_sat`] free functions and
 //!   their budgeted variants, which build a fresh session per call —
 //!   the historical cross-validation surface.
@@ -51,11 +67,13 @@ use eo_sym::{PoEncoding, SymOutcome};
 /// solving (experiment E19 quantifies the gap).
 ///
 /// The session also keeps complete feasible schedules, starting with the
-/// trace's observed order, and proves what it can from them without a
-/// solve: a before-query that one of them answers gets it back, and an
-/// overlap query whose pair one of them co-enables is answered by
-/// splicing the pair back to back at that prefix and replaying the
-/// result to completion under the context (machine plus →D gating).
+/// trace's observed order, and proves what it can without a solve: a
+/// before-query that one of them answers gets it back, and an overlap
+/// query whose pair one of them co-enables is answered by splicing the
+/// pair back to back at that prefix and replaying the result to
+/// completion under the context (machine plus →D gating). What they miss
+/// it tries to construct, by one greedy replay from the initial state,
+/// before it solves.
 ///
 /// Every query takes the [`SearchCtx`] the session was opened for, as
 /// [`crate::QueryMemo`]'s do; passing another context is a logic error.
@@ -83,8 +101,22 @@ pub struct SatSession {
     /// first such prefix of the first schedule that had one, or the
     /// overlap point of the last solve that proved the pair.
     co_enabled_at: Vec<Cut>,
-    /// The co-enabled list `keep` reuses at each step of its replay.
+    /// The co-enabled list `keep` and `construct` reuse at each step of
+    /// their replays.
     enabled: Vec<(ProcessId, EventId)>,
+    /// Each event's position in the observed order, which breaks ties in
+    /// `construct`.
+    observed_at: Vec<u32>,
+}
+
+/// What a construction must fire.
+#[derive(Clone, Copy)]
+enum Goal {
+    /// `first` as soon as it is co-enabled, `second` not before it.
+    Before { first: EventId, second: EventId },
+    /// `a` and `b` back to back, in either order, once both are
+    /// co-enabled, and neither of them before that.
+    Overlap { a: EventId, b: EventId },
 }
 
 /// The `runs_before` entry of a pair no kept schedule runs in that order.
@@ -119,6 +151,11 @@ impl SatSession {
         let enc = PoEncoding::with_dependence(ctx.exec().trace(), &ctx.effective_dependence());
         eo_obs::counter!("sat.clauses", enc.core_clause_count() as u64);
         let n = enc.n_events();
+        let observed = ctx.exec().trace().observed_order();
+        let mut observed_at = vec![0; n];
+        for (at, e) in observed.iter().enumerate() {
+            observed_at[e.index()] = at as u32;
+        }
         let mut session = SatSession {
             enc,
             budget,
@@ -127,8 +164,9 @@ impl SatSession {
             runs_before: vec![NO_SCHEDULE; n * n],
             co_enabled_at: vec![Cut::NONE; n * n],
             enabled: Vec::new(),
+            observed_at,
         };
-        session.keep(ctx, &ctx.exec().trace().observed_order(), false);
+        session.keep(ctx, &observed, false);
         session
     }
 
@@ -245,6 +283,107 @@ impl SatSession {
         (completes(a, b) || completes(b, a)).then(|| prefix.to_vec())
     }
 
+    /// Tries to build a witness for `goal` without a solve: one replay
+    /// from the initial state under `ctx`. It fires the goal's target as
+    /// soon as it is co-enabled (for an overlap, the pair back to back in
+    /// whichever order fires). Until then it fires the co-enabled event
+    /// that `cl(base)` orders before a target, failing that the one
+    /// earliest in the observed order, never one of the goal's pair.
+    /// After the target it completes in observed order. Returns the
+    /// complete schedule, or `None` if the replay blocks first, or if an
+    /// overlap pair is co-enabled but fires back to back in neither
+    /// order. `None` decides nothing.
+    fn construct(&mut self, ctx: &SearchCtx<'_>, goal: Goal) -> Option<Vec<EventId>> {
+        // Neither event may fire early; the construction heads for the
+        // targets: `first`, or both of the overlap pair.
+        let held = match goal {
+            Goal::Before { first, second } => [first, second],
+            Goal::Overlap { a, b } => [a, b],
+        };
+        let targets = match goal {
+            Goal::Before { .. } => &held[..1],
+            Goal::Overlap { .. } => &held[..],
+        };
+        let base = self.enc.base_order();
+        let feeds = |e: EventId| targets.iter().any(|t| base.contains(e.index(), t.index()));
+        let process = |e: EventId| ctx.exec().event(e).process;
+        let mut enabled = std::mem::take(&mut self.enabled);
+        let mut schedule = Vec::with_capacity(self.enc.n_events());
+        let mut st = ctx.initial_state();
+        let mut reached = false;
+        let complete = loop {
+            ctx.co_enabled_into(&st, &mut enabled);
+            let has = |e: EventId| enabled.iter().any(|&(_, f)| f == e);
+            if !reached {
+                match goal {
+                    Goal::Before { first, .. } if has(first) => {
+                        ctx.step(&mut st, process(first));
+                        schedule.push(first);
+                        reached = true;
+                        continue;
+                    }
+                    Goal::Overlap { a, b } if has(a) && has(b) => {
+                        let fired = [(a, b), (b, a)].into_iter().find_map(|(x, y)| {
+                            let mut next = st.clone();
+                            ctx.step(&mut next, process(x));
+                            ctx.can_fire(&next, y).then(|| {
+                                ctx.step(&mut next, process(y));
+                                (next, x, y)
+                            })
+                        });
+                        let Some((next, x, y)) = fired else {
+                            break false;
+                        };
+                        st = next;
+                        schedule.extend([x, y]);
+                        reached = true;
+                        continue;
+                    }
+                    _ => {}
+                }
+            }
+            let next = enabled
+                .iter()
+                .map(|&(_, e)| e)
+                .filter(|e| reached || !held.contains(e))
+                .min_by_key(|&e| (reached || !feeds(e), self.observed_at[e.index()]));
+            match next {
+                Some(e) => {
+                    ctx.step(&mut st, process(e));
+                    schedule.push(e);
+                }
+                None => break ctx.is_complete(&st),
+            }
+        };
+        self.enabled = enabled;
+        complete.then_some(schedule)
+    }
+
+    /// Keeps a complete schedule that fires the overlap pair `{a, b}` back
+    /// to back with both co-enabled just before, moves the pair's cut to
+    /// that point (so asking again splices this schedule), and returns
+    /// the prefix before the pair: the witness, as the search engine
+    /// gives it.
+    fn keep_overlap(
+        &mut self,
+        ctx: &SearchCtx<'_>,
+        schedule: &[EventId],
+        a: EventId,
+        b: EventId,
+    ) -> Vec<EventId> {
+        let at = schedule
+            .iter()
+            .position(|&e| e == a || e == b)
+            .expect("a complete schedule contains every event");
+        let index = self.keep(ctx, schedule, true).expect("kept always");
+        let slot = self.pair_slot(a, b);
+        self.co_enabled_at[slot] = Cut {
+            schedule: index,
+            at: at as u32,
+        };
+        schedule[..at].to_vec()
+    }
+
     /// Emits the solver counters accrued since the last emission under
     /// the historical `sat.dpll_*` metric names.
     fn surface_metrics(&mut self) {
@@ -259,7 +398,8 @@ impl SatSession {
     /// A complete feasible schedule running `first` strictly before
     /// `second`, or `None` when every feasible execution orders them the
     /// other way. A kept schedule is returned when one runs `first`
-    /// first; otherwise one incremental solve.
+    /// first; otherwise a constructed one, kept in turn; otherwise one
+    /// incremental solve.
     ///
     /// # Panics
     /// Panics if `first == second`.
@@ -273,9 +413,20 @@ impl SatSession {
         self.budget.check(0)?;
         let kept = self.runs_before[first.index() * self.enc.n_events() + second.index()];
         if kept != NO_SCHEDULE {
+            eo_obs::counter!("sat.answers_kept", 1);
             return Ok(Some(self.schedules[kept as usize].clone()));
         }
-        let schedule = self.solve(|enc, stop| enc.solve_before(first, second, stop))?;
+        let schedule = match self.construct(ctx, Goal::Before { first, second }) {
+            Some(schedule) => {
+                eo_obs::counter!("sat.answers_constructed", 1);
+                Some(schedule)
+            }
+            None => {
+                let solved = self.solve(|enc, stop| enc.solve_before(first, second, stop))?;
+                count_solve(solved.is_some());
+                solved
+            }
+        };
         if let Some(schedule) = &schedule {
             self.keep(ctx, schedule, false);
         }
@@ -285,8 +436,9 @@ impl SatSession {
     /// A feasible schedule prefix reaching a state where `a` and `b` are
     /// simultaneously enabled and firing them back to back, in one order
     /// or the other, keeps completion reachable; or `None`. A splice of a
-    /// kept schedule answers when one replays; otherwise up to two
-    /// incremental solves (one per firing order).
+    /// kept schedule answers when one replays; otherwise a construction
+    /// when one completes; otherwise up to two incremental solves (one
+    /// per firing order).
     ///
     /// # Panics
     /// Panics if `a == b`.
@@ -299,26 +451,26 @@ impl SatSession {
         assert_ne!(a, b, "witness queries need two distinct events");
         self.budget.check(0)?;
         if let Some(prefix) = self.splice(ctx, a, b) {
+            eo_obs::counter!("sat.answers_spliced", 1);
             return Ok(Some(prefix));
         }
-        let Some(schedule) = self.solve(|enc, stop| enc.solve_overlap(a, b, stop))? else {
-            return Ok(None);
+        // A constructed schedule, like a model, fires the pair back to
+        // back with both enabled at the state just before.
+        let schedule = match self.construct(ctx, Goal::Overlap { a, b }) {
+            Some(schedule) => {
+                eo_obs::counter!("sat.answers_constructed", 1);
+                schedule
+            }
+            None => {
+                let solved = self.solve(|enc, stop| enc.solve_overlap(a, b, stop))?;
+                count_solve(solved.is_some());
+                let Some(schedule) = solved else {
+                    return Ok(None);
+                };
+                schedule
+            }
         };
-        // The model schedules the pair back to back with both enabled at
-        // the state just before; the witness is the prefix up to that
-        // state, matching the search engine's contract. The pair's cut
-        // moves there, so asking again splices the model itself.
-        let at = schedule
-            .iter()
-            .position(|&e| e == a || e == b)
-            .expect("decoded schedule contains every event");
-        let index = self.keep(ctx, &schedule, true).expect("kept always");
-        let slot = self.pair_slot(a, b);
-        self.co_enabled_at[slot] = Cut {
-            schedule: index,
-            at: at as u32,
-        };
-        Ok(Some(schedule[..at].to_vec()))
+        Ok(Some(self.keep_overlap(ctx, &schedule, a, b)))
     }
 
     /// Decides `a MHB b`: no feasible schedule runs `b` before `a`.
@@ -350,6 +502,16 @@ impl SatSession {
         b: EventId,
     ) -> Result<bool, EngineError> {
         Ok(a != b && self.try_witness_overlap(ctx, a, b)?.is_some())
+    }
+}
+
+/// Counts a solved answer: `sat.answers_solved` for a witness a model
+/// gave, `sat.answers_refuted` for a "no".
+fn count_solve(found: bool) {
+    if found {
+        eo_obs::counter!("sat.answers_solved", 1);
+    } else {
+        eo_obs::counter!("sat.answers_refuted", 1);
     }
 }
 
@@ -536,11 +698,12 @@ mod tests {
     }
 
     /// How a session is about to answer: from a kept schedule, by a
-    /// splice, or by a solve.
+    /// splice, by a construction, or by a solve.
     #[derive(Clone, Copy, Debug)]
     enum Path {
         Kept,
         Spliced,
+        Constructed,
         Solved,
     }
 
@@ -549,7 +712,7 @@ mod tests {
         let mut traces = all_fixtures();
         traces.extend(random_traces());
         traces.push(one_token_race().0);
-        let mut answered = [0usize; 3];
+        let mut answered = [0usize; 4];
         for trace in traces {
             for mode in [
                 FeasibilityMode::PreserveDependences,
@@ -567,6 +730,17 @@ mod tests {
                         let (ea, eb) = (EventId::new(a), EventId::new(b));
                         let path = if session.runs_before[a * n + b] != NO_SCHEDULE {
                             Path::Kept
+                        } else if session
+                            .construct(
+                                &ctx,
+                                Goal::Before {
+                                    first: ea,
+                                    second: eb,
+                                },
+                            )
+                            .is_some()
+                        {
+                            Path::Constructed
                         } else {
                             Path::Solved
                         };
@@ -585,6 +759,11 @@ mod tests {
 
                         let path = if session.splice(&ctx, ea, eb).is_some() {
                             Path::Spliced
+                        } else if session
+                            .construct(&ctx, Goal::Overlap { a: ea, b: eb })
+                            .is_some()
+                        {
+                            Path::Constructed
                         } else {
                             Path::Solved
                         };
@@ -606,7 +785,59 @@ mod tests {
         }
         assert!(
             answered.iter().all(|&k| k > 0),
-            "kept, spliced and solved witnesses are all checked: {answered:?}"
+            "kept, spliced, constructed and solved witnesses are all checked: {answered:?}"
+        );
+    }
+
+    #[test]
+    fn every_unanswered_query_comes_from_a_solve() {
+        // A construction never answers "no": each None of both witness
+        // queries ran the solver, and each constructed "yes" did not.
+        let mut traces = all_fixtures();
+        traces.extend(random_traces());
+        traces.push(one_token_race().0);
+        let (mut refuted, mut constructed) = (0, 0);
+        for trace in traces {
+            for mode in [
+                FeasibilityMode::PreserveDependences,
+                FeasibilityMode::IgnoreDependences,
+            ] {
+                let exec = trace.to_execution().unwrap();
+                let ctx = SearchCtx::new(&exec, mode);
+                let mut session = SatSession::new(&ctx);
+                let n = exec.n_events();
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let (ea, eb) = (EventId::new(a), EventId::new(b));
+                        for goal in [
+                            Goal::Before {
+                                first: ea,
+                                second: eb,
+                            },
+                            Goal::Overlap { a: ea, b: eb },
+                        ] {
+                            let built = session.construct(&ctx, goal).is_some();
+                            let before = solves(&session);
+                            let answer = match goal {
+                                Goal::Before { .. } => session.try_witness_before(&ctx, ea, eb),
+                                Goal::Overlap { .. } => session.try_witness_overlap(&ctx, ea, eb),
+                            };
+                            let solved = solves(&session) > before;
+                            if answer.unwrap().is_none() {
+                                assert!(!built && solved, "a \"no\" for ({a}, {b}) in {mode:?}");
+                                refuted += 1;
+                            } else if built {
+                                assert!(!solved, "({a}, {b}) was constructed in {mode:?}");
+                                constructed += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            refuted > 0 && constructed > 0,
+            "{refuted} refuted, {constructed} constructed"
         );
     }
 
@@ -650,10 +881,9 @@ mod tests {
         assert_eq!(session.encoding().core_clause_count(), 2 + 4 + 2);
     }
 
-    /// The solver's work counters, to tell a solve from a kept answer.
-    fn work(session: &SatSession) -> (u64, u64) {
-        let s = session.encoding().solver();
-        (s.decisions, s.propagations)
+    /// How many solves the session's solver has run.
+    fn solves(session: &SatSession) -> u64 {
+        session.encoding().solver().solves
     }
 
     #[test]
@@ -669,28 +899,34 @@ mod tests {
         // does nothing.
         let mut session = SatSession::new(&ctx);
         assert_eq!(session.kept_schedules(), 1);
-        let before = work(&session);
         let observed = session
             .try_witness_before(&ctx, a, b)
             .unwrap()
             .expect("kept");
-        assert_eq!(work(&session), before, "a kept schedule needs no solve");
+        assert_eq!(solves(&session), 0, "a kept schedule needs no solve");
         assert_eq!(observed, exec.trace().observed_order());
         assert!(replays(&observed, a, b));
 
-        // No kept schedule runs b first, so that question is solved, and
-        // the schedule it finds orders a pair anew, so it is kept.
-        let before = work(&session);
-        let solved = session
+        // No kept schedule runs b first, so that schedule is constructed:
+        // it fires b as soon as it is co-enabled. It orders a pair anew,
+        // so it is kept.
+        let constructed = session
             .try_witness_before(&ctx, b, a)
             .unwrap()
             .expect("b first");
-        assert_ne!(work(&session), before, "an unanswered pair runs a solve");
-        assert!(replays(&solved, b, a));
+        assert_eq!(solves(&session), 0, "a constructed schedule needs no solve");
+        assert!(replays(&constructed, b, a));
         assert_eq!(session.kept_schedules(), 2);
-        let before = work(&session);
         assert!(!session.try_must_happen_before(&ctx, a, b).unwrap());
-        assert_eq!(work(&session), before, "MHB reads the kept schedules too");
+        assert_eq!(solves(&session), 0, "MHB reads the kept schedules too");
+
+        // a needs p1's V(t), so a before it is refuted: the construction
+        // blocks, and the question is solved.
+        let v_t = EventId::new(1);
+        assert_eq!(exec.event(v_t).op, Op::SemV(eo_model::SemId::new(1)));
+        assert!(session.try_witness_before(&ctx, a, v_t).unwrap().is_none());
+        assert_eq!(solves(&session), 1, "an unanswered pair runs a solve");
+        assert_eq!(session.kept_schedules(), 2);
 
         // Overlap queries splice a kept schedule: the observed order
         // co-enables the independent pair at the initial state.
@@ -698,20 +934,19 @@ mod tests {
         let exec = trace.to_execution().unwrap();
         let ctx = ctx_of(&exec);
         let mut session = SatSession::new(&ctx);
-        let before = work(&session);
         assert_eq!(
             session.try_witness_overlap(&ctx, x, y).unwrap(),
             Some(vec![])
         );
-        assert_eq!(work(&session), before, "a splice needs no solve");
-        // The observed order runs x first; y first takes one solve.
-        let mut solves = 0;
+        // The observed order runs x first; y first is constructed.
         for (p, q) in [(x, y), (y, x)] {
-            let before = work(&session);
             assert!(session.try_could_happen_before(&ctx, p, q).unwrap());
-            solves += usize::from(work(&session) != before);
         }
-        assert_eq!(solves, 1, "the observed order answers one orientation");
+        assert_eq!(
+            solves(&session),
+            0,
+            "a splice and a construction need no solve"
+        );
 
         // Only a schedule that orders or co-enables some pair anew is
         // kept, so repeated queries do not grow the session.
@@ -748,23 +983,26 @@ mod tests {
             "no splice at the start"
         );
 
-        let before = work(&session);
+        // Both P's are co-enabled at the start, where neither can follow
+        // the other, so the construction stops there too.
+        assert!(session
+            .construct(&ctx, Goal::Overlap { a: a1, b: b1 })
+            .is_none());
         let prefix = session
             .try_witness_overlap(&ctx, a1, b1)
             .unwrap()
             .expect("ccw");
-        assert_ne!(work(&session), before, "a failed splice runs a solve");
+        assert_eq!(solves(&session), 1, "a failed splice runs a solve");
         assert!(prefix.contains(&c1), "the second token must be in first");
         ctx.check_witness_overlap(a1, b1, &prefix).unwrap();
 
         // The solve moved the pair's cut to its own overlap point, so the
         // same question is now spliced from the model it kept.
-        let before = work(&session);
         assert_eq!(
             session.try_witness_overlap(&ctx, b1, a1).unwrap(),
             Some(prefix)
         );
-        assert_eq!(work(&session), before, "asked again, the pair is spliced");
+        assert_eq!(solves(&session), 1, "asked again, the pair is spliced");
     }
 
     #[test]

@@ -134,22 +134,27 @@ fn sat_backend_honours_injected_faults() {
         chb_via_sat_budgeted(&ctx, a, b, &faulty(1, Fault::Deadline)),
         Err(EngineError::DeadlineExceeded { .. })
     ));
-    // Fault deep inside the DPLL search (checkpoints 1–2 are the
-    // pre/post-encoding checks, so 3+ lands on solver nodes). The session
-    // keeps the observed order, which runs `a` first, so only `b` before
-    // `a` reaches the solver.
+    // Fault deep inside the CDCL search (checkpoints 1–2 are the
+    // pre/post-encoding checks, so 3+ lands on solver nodes). Only a
+    // refuted question reaches the solver: the session answers `b`
+    // before `a` by construction. `a` needs p1's V(t) first, so `a`
+    // before V(t) is refuted.
+    let v_t = exec.trace().observed_order()[1];
+    assert!(chb_via_sat_budgeted(&ctx, b, a, &faulty(3, Fault::Cancel)).is_ok());
     assert!(matches!(
-        chb_via_sat_budgeted(&ctx, b, a, &faulty(3, Fault::Cancel)),
+        chb_via_sat_budgeted(&ctx, a, v_t, &faulty(3, Fault::Cancel)),
         Err(EngineError::Cancelled)
     ));
     // An untripped plan must not change the verdict.
     let untripped = faulty(1_000_000_000, Fault::Memory);
-    assert_eq!(
-        chb_via_sat_budgeted(&ctx, b, a, &untripped)
-            .unwrap()
-            .is_some(),
-        chb_via_sat(&ctx, b, a).is_some()
-    );
+    for (x, y) in [(b, a), (a, v_t)] {
+        assert_eq!(
+            chb_via_sat_budgeted(&ctx, x, y, &untripped)
+                .unwrap()
+                .is_some(),
+            chb_via_sat(&ctx, x, y).is_some()
+        );
+    }
 }
 
 #[test]

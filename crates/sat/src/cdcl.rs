@@ -5,7 +5,10 @@
 //! (ROADMAP item 1): two-watched-literal propagation with blocking
 //! literals, 1-UIP conflict analysis with clause learning, activity-based
 //! (VSIDS-style) branching with exponential decay, phase saving, Luby
-//! restarts, and learnt-clause database reduction. The piece the serve
+//! restarts, and learnt-clause database reduction. Every clause's literals
+//! live in one flat arena, compacted once deleted learnt clauses leave
+//! more than half of it unused, and branching pops an order heap that
+//! picks exactly what a scan over every variable would. The piece the serve
 //! layer leans on is [`Solver::solve_assuming`]: assumptions are enqueued
 //! as pseudo-decision levels below the search proper, so every clause
 //! *learnt* during a call is derived by resolution from input clauses
@@ -26,16 +29,27 @@
 use crate::formula::{Formula, Lit, Var};
 use crate::solver::SolveOutcome;
 
-/// Index into the clause arena.
+/// Index into the clause headers.
 type ClauseRef = usize;
 
-/// A clause in the arena. Deleted learnt clauses leave a tombstone so
-/// `ClauseRef`s stored as reasons stay valid.
+/// A clause: its literals are `arena[start .. start + len]`. Deleted
+/// learnt clauses leave a tombstone until the next compaction, so
+/// `ClauseRef`s stored as reasons and watches stay valid in between.
+#[derive(Clone, Copy)]
 struct ClauseData {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     deleted: bool,
     activity: f64,
+}
+
+impl ClauseData {
+    /// The clause's span in the arena.
+    #[inline]
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// One watch-list entry: a clause watching the list's literal, plus a
@@ -82,6 +96,122 @@ const CLAUSE_DECAY: f64 = 0.999;
 /// hits it; cheap enough to be noise at scale.
 const STOP_CHECK_INTERVAL: u64 = 16;
 
+/// The order-heap position of a variable that is not in the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// The branching candidates: a binary max-heap of variables by activity,
+/// ties going to the lower index. Every unassigned variable is in it;
+/// assigned ones leave lazily, when popped. Its top is therefore what a
+/// scan over all unassigned variables for the highest activity (the
+/// first one on a tie) would pick.
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Each variable's position in `heap`, or [`NOT_IN_HEAP`].
+    index: Vec<u32>,
+}
+
+impl OrderHeap {
+    /// A heap of the variables `0..n_vars`, all at activity 0.
+    fn new(n_vars: usize) -> Self {
+        OrderHeap {
+            heap: (0..n_vars as u32).collect(),
+            index: (0..n_vars as u32).collect(),
+        }
+    }
+
+    /// Whether `a` ranks above `b`.
+    #[inline]
+    fn above(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Registers a fresh variable (with the lowest activity possible, 0,
+    /// and the highest index, so it sits at the bottom).
+    fn push_var(&mut self) {
+        let v = self.index.len() as u32;
+        self.index.push(self.heap.len() as u32);
+        self.heap.push(v);
+    }
+
+    fn insert(&mut self, v: usize, activity: &[f64]) {
+        if self.index[v] == NOT_IN_HEAP {
+            self.index[v] = self.heap.len() as u32;
+            self.heap.push(v as u32);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores the order after `v`'s activity rose.
+    fn raised(&mut self, v: usize, activity: &[f64]) {
+        if self.index[v] != NOT_IN_HEAP {
+            self.sift_up(self.index[v] as usize, activity);
+        }
+    }
+
+    /// Removes and returns the top variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.index[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.index[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top as usize)
+    }
+
+    /// Re-establishes the heap order from scratch (after a rescale, which
+    /// may round distinct activities to equal ones).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::above(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.index[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.index[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::above(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::above(activity, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.index[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.index[v as usize] = i as u32;
+    }
+}
+
 /// A conflict-driven clause-learning (CDCL) satisfiability solver.
 ///
 /// Drop-in replacement for the old DPLL solver's API ([`Solver::new`],
@@ -95,8 +225,14 @@ const STOP_CHECK_INTERVAL: u64 = 16;
 pub struct Solver {
     /// Number of variables (watch lists etc. are sized to this).
     n_vars: usize,
-    /// Clause arena: problem clauses first, learnt clauses appended.
+    /// Clause headers: problem clauses first, learnt clauses appended.
     clauses: Vec<ClauseData>,
+    /// Every clause's literals, back to back.
+    arena: Vec<Lit>,
+    /// Arena literals that belong to deleted clauses.
+    wasted: usize,
+    /// The buffer `add_clause` simplifies into.
+    scratch: Vec<Lit>,
     /// For each literal code, the clauses currently watching that
     /// literal, each with its blocker.
     watches: Vec<Vec<Watcher>>,
@@ -115,6 +251,8 @@ pub struct Solver {
     /// VSIDS activity per variable and the current bump amount.
     activity: Vec<f64>,
     var_inc: f64,
+    /// The branching candidates by activity.
+    order: OrderHeap,
     /// Current clause-activity bump amount.
     clause_inc: f64,
     /// Saved phase per variable (last assigned polarity; default `false`).
@@ -147,6 +285,11 @@ pub struct Solver {
     pub propagations: u64,
     /// Luby restarts performed.
     pub restarts: u64,
+    /// `solve_assuming` calls (every `solve*` call is one).
+    pub solves: u64,
+    /// Branch picks checked against a full scan (tests only).
+    #[cfg(test)]
+    picks_checked: u64,
 }
 
 impl Solver {
@@ -168,6 +311,9 @@ impl Solver {
         Solver {
             n_vars,
             clauses: Vec::new(),
+            arena: Vec::new(),
+            wasted: 0,
+            scratch: Vec::new(),
             watches: vec![Vec::new(); 2 * n_vars],
             assign: vec![None; n_vars],
             level: vec![0; n_vars],
@@ -177,6 +323,7 @@ impl Solver {
             qhead: 0,
             activity: vec![0.0; n_vars],
             var_inc: 1.0,
+            order: OrderHeap::new(n_vars),
             clause_inc: 1.0,
             phase: vec![false; n_vars],
             seen: vec![false; n_vars],
@@ -191,6 +338,9 @@ impl Solver {
             conflicts: 0,
             propagations: 0,
             restarts: 0,
+            solves: 0,
+            #[cfg(test)]
+            picks_checked: 0,
         }
     }
 
@@ -204,6 +354,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.order.push_var();
         self.phase.push(false);
         self.seen.push(false);
         v
@@ -245,25 +396,29 @@ impl Solver {
         for &l in lits {
             assert!(l.var.index() < self.n_vars, "literal over unknown variable");
         }
-        // Simplify against the level-0 assignment: skip satisfied clauses
-        // (before allocating anything) and tautologies, drop false
+        // Simplify against the level-0 assignment into the scratch
+        // buffer: skip satisfied clauses and tautologies, drop false
         // literals, deduplicate.
         if lits.iter().any(|&l| self.value(l) == Some(true)) {
             return true;
         }
-        let mut simplified: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut simplified = std::mem::take(&mut self.scratch);
+        simplified.clear();
+        let mut tautology = false;
         for &l in lits {
             if self.value(l).is_some() {
                 continue; // false: a true literal returned above
             }
             if simplified.contains(&l.negated()) {
-                return true; // tautology
+                tautology = true;
+                break;
             }
             if !simplified.contains(&l) {
                 simplified.push(l);
             }
         }
-        match simplified.len() {
+        let ok = match simplified.len() {
+            _ if tautology => true,
             0 => {
                 self.ok = false;
                 false
@@ -277,11 +432,13 @@ impl Solver {
                 true
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(&simplified, false);
                 self.n_problem += 1;
                 true
             }
-        }
+        };
+        self.scratch = simplified;
+        ok
     }
 
     /// Decides satisfiability; returns a model if satisfiable.
@@ -319,6 +476,7 @@ impl Solver {
         stop: &mut dyn FnMut(u64) -> bool,
     ) -> SolveOutcome {
         self.core.clear();
+        self.solves += 1;
         if !self.ok {
             return SolveOutcome::Unsat;
         }
@@ -397,6 +555,8 @@ impl Solver {
                             self.decisions += 1;
                             self.nodes_visited += 1;
                             if stop(self.nodes_visited) {
+                                // The pick left the heap unassigned.
+                                self.order.insert(p.var.index(), &self.activity);
                                 self.cancel_until(0);
                                 return SolveOutcome::Interrupted;
                             }
@@ -433,13 +593,20 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    /// Appends `lits` to the arena and hooks up its first two literals as
+    /// The literals of clause `cref`.
+    #[inline]
+    fn lits(&self, cref: ClauseRef) -> &[Lit] {
+        &self.arena[self.clauses[cref].span()]
+    }
+
+    /// Copies `lits` into the arena and hooks up its first two literals as
     /// watches. Callers guarantee `lits.len() >= 2` and that watching the
     /// first two literals is valid (for learnt clauses: lits[0] is the
     /// asserting literal, lits[1] has the backjump level).
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len();
+        let start = u32::try_from(self.arena.len()).expect("the clause arena fits u32 offsets");
         self.watches[code(lits[0])].push(Watcher {
             cref,
             blocker: lits[1],
@@ -451,8 +618,10 @@ impl Solver {
         if learnt {
             self.n_learnts += 1;
         }
+        self.arena.extend_from_slice(lits);
         self.clauses.push(ClauseData {
-            lits,
+            start,
+            len: lits.len() as u32,
             learnt,
             deleted: false,
             activity: 0.0,
@@ -471,7 +640,8 @@ impl Solver {
         self.trail.push(p);
     }
 
-    /// Unassigns everything above decision `level`, saving phases.
+    /// Unassigns everything above decision `level`, saving phases and
+    /// returning each variable to the order heap.
     fn cancel_until(&mut self, level: u32) {
         if self.decision_level() <= level {
             return;
@@ -482,6 +652,7 @@ impl Solver {
             self.phase[v] = self.assign[v].expect("on trail");
             self.assign[v] = None;
             self.reason[v] = None;
+            self.order.insert(v, &self.activity);
         }
         self.trail.truncate(keep);
         self.trail_lim.truncate(level as usize);
@@ -516,17 +687,18 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let clause = &mut self.clauses[cref];
+                let clause = self.clauses[cref];
                 if clause.deleted {
                     ws.swap_remove(i);
                     continue;
                 }
+                let lits = &mut self.arena[clause.span()];
                 // Normalize: the false watch sits at position 1.
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(clause.lits[1], false_lit);
-                let first = clause.lits[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 if self.assign[first.var.index()].map(|v| first.satisfied_by(v)) == Some(true) {
                     // Satisfied through the other watch: block on it next time.
                     ws[i].blocker = first;
@@ -534,12 +706,11 @@ impl Solver {
                     continue;
                 }
                 // Look for a non-false literal to watch instead.
-                for k in 2..clause.lits.len() {
-                    let l = clause.lits[k];
+                for k in 2..lits.len() {
+                    let l = lits[k];
                     if self.assign[l.var.index()].map(|v| l.satisfied_by(v)) != Some(false) {
-                        clause.lits.swap(1, k);
-                        let new_watch = clause.lits[1];
-                        self.watches[code(new_watch)].push(Watcher {
+                        lits.swap(1, k);
+                        self.watches[code(l)].push(Watcher {
                             cref,
                             blocker: first,
                         });
@@ -580,9 +751,10 @@ impl Solver {
             self.bump_clause(cref);
             // For reason clauses lits[0] is the propagated literal itself —
             // skip it; for the seed conflict every literal participates.
-            let start = usize::from(p.is_some());
-            for k in start..self.clauses[cref].lits.len() {
-                let q = self.clauses[cref].lits[k];
+            let span = self.clauses[cref].span();
+            let skip = usize::from(p.is_some());
+            for k in span.start + skip..span.end {
+                let q = self.arena[k];
                 let v = q.var.index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -638,7 +810,7 @@ impl Solver {
         if learnt.len() == 1 {
             self.unchecked_enqueue(asserting, None);
         } else {
-            let cref = self.attach_clause(learnt, true);
+            let cref = self.attach_clause(&learnt, true);
             self.bump_clause(cref);
             self.unchecked_enqueue(asserting, Some(cref));
         }
@@ -669,8 +841,8 @@ impl Solver {
                     out.push(x);
                 }
                 Some(cref) => {
-                    for k in 1..self.clauses[cref].lits.len() {
-                        let q = self.clauses[cref].lits[k];
+                    for k in self.clauses[cref].span().skip(1) {
+                        let q = self.arena[k];
                         if self.level[q.var.index()] > 0 {
                             self.seen[q.var.index()] = true;
                         }
@@ -683,27 +855,44 @@ impl Solver {
         out
     }
 
-    /// The unassigned variable with the highest activity (linear scan —
-    /// the encodings here stay small enough that a heap buys nothing),
-    /// with its saved phase.
+    /// The unassigned variable with the highest activity, the lowest
+    /// index on a tie, with its saved phase: the top of the order heap
+    /// once the assigned variables above it are dropped.
     fn pick_branch(&mut self) -> Option<Lit> {
+        let v = loop {
+            let v = self.order.pop(&self.activity)?;
+            if self.assign[v].is_none() {
+                break v;
+            }
+        };
+        #[cfg(test)]
+        {
+            assert_eq!(
+                Some(v),
+                self.scan_pick(),
+                "the heap picks what a scan picks"
+            );
+            self.picks_checked += 1;
+        }
+        Some(if self.phase[v] {
+            Lit::pos(Var(v as u32))
+        } else {
+            Lit::neg(Var(v as u32))
+        })
+    }
+
+    /// The pick of a linear scan over every variable, which the heap
+    /// replaces (the test oracle).
+    #[cfg(test)]
+    fn scan_pick(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for v in 0..self.n_vars {
-            if self.assign[v].is_none()
-                && best
-                    .map(|b| self.activity[v] > self.activity[b])
-                    .unwrap_or(true)
+            if self.assign[v].is_none() && best.is_none_or(|b| self.activity[v] > self.activity[b])
             {
                 best = Some(v);
             }
         }
-        best.map(|v| {
-            if self.phase[v] {
-                Lit::pos(Var(v as u32))
-            } else {
-                Lit::neg(Var(v as u32))
-            }
-        })
+        best
     }
 
     fn bump_var(&mut self, v: usize) {
@@ -713,6 +902,9 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(v, &self.activity);
         }
     }
 
@@ -738,12 +930,13 @@ impl Solver {
     /// Halves the learnt-clause database: the lower-activity half is
     /// tombstoned and detached, except binary clauses and clauses locked
     /// as the reason of a current assignment. The allowance then grows so
-    /// reductions stay amortized.
+    /// reductions stay amortized, and the arena is compacted once more
+    /// than half of it belongs to deleted clauses.
     fn reduce_db(&mut self) {
         let mut learnt_refs: Vec<ClauseRef> = (0..self.clauses.len())
             .filter(|&c| {
                 let cl = &self.clauses[c];
-                cl.learnt && !cl.deleted && cl.lits.len() > 2
+                cl.learnt && !cl.deleted && cl.len > 2
             })
             .collect();
         learnt_refs.sort_by(|&a, &b| {
@@ -765,27 +958,65 @@ impl Solver {
             removed += 1;
         }
         self.max_learnts = self.max_learnts + self.max_learnts / 10 + 1;
+        if 2 * self.wasted > self.arena.len() {
+            self.compact();
+        }
+    }
+
+    /// Drops the deleted clauses from the headers and the arena, keeping
+    /// the live ones in order, and remaps every watch and reason to the
+    /// clauses' new indices. Deleted clauses are neither watched (their
+    /// watches go when they are deleted) nor reasons (locked clauses are
+    /// never deleted).
+    fn compact(&mut self) {
+        let mut remap: Vec<ClauseRef> = vec![ClauseRef::MAX; self.clauses.len()];
+        let mut arena = Vec::with_capacity(self.arena.len() - self.wasted);
+        let mut clauses = Vec::with_capacity(self.clauses.len());
+        for (old, c) in self.clauses.iter().enumerate() {
+            if c.deleted {
+                continue;
+            }
+            remap[old] = clauses.len();
+            let start = arena.len() as u32;
+            arena.extend_from_slice(&self.arena[c.span()]);
+            clauses.push(ClauseData { start, ..*c });
+        }
+        for w in self.watches.iter_mut().flatten() {
+            w.cref = remap[w.cref];
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = remap[*r];
+        }
+        debug_assert!(self
+            .watches
+            .iter()
+            .flatten()
+            .all(|w| w.cref != ClauseRef::MAX));
+        debug_assert!(self.reason.iter().flatten().all(|&r| r != ClauseRef::MAX));
+        self.arena = arena;
+        self.clauses = clauses;
+        self.wasted = 0;
     }
 
     /// A clause is locked while it is the reason for a current assignment.
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let first = self.clauses[cref].lits[0];
+        let first = self.lits(cref)[0];
         self.reason[first.var.index()] == Some(cref)
             && self.assign[first.var.index()].map(|v| first.satisfied_by(v)) == Some(true)
     }
 
-    /// Tombstones a clause and eagerly removes its two watch entries.
+    /// Tombstones a clause and eagerly removes its two watch entries; its
+    /// literals stay in the arena, counted as wasted, until compaction.
     fn delete_clause(&mut self, cref: ClauseRef) {
         let (w0, w1) = {
-            let c = &self.clauses[cref];
-            (code(c.lits[0]), code(c.lits[1]))
+            let lits = self.lits(cref);
+            (code(lits[0]), code(lits[1]))
         };
         self.watches[w0].retain(|w| w.cref != cref);
         self.watches[w1].retain(|w| w.cref != cref);
         let c = &mut self.clauses[cref];
         c.deleted = true;
-        c.lits.clear();
-        c.lits.shrink_to_fit();
+        self.wasted += c.len as usize;
         self.n_learnts -= 1;
     }
 }
@@ -1049,6 +1280,96 @@ mod tests {
             let cdcl = s.solve().is_some();
             assert_eq!(cdcl, solve_reference(&f).is_some(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn the_order_heap_picks_what_a_scan_picks() {
+        // `pick_branch` asserts, under test, that the heap's pick equals a
+        // linear scan's; this drives it through restarts, reductions and
+        // assumption calls and checks that every decision was compared.
+        let mut decisions = 0;
+        for seed in 0..40u64 {
+            let f = Formula::random_3cnf(20, 85, seed);
+            let mut s = Solver::new(f.clone());
+            s.max_learnts = 8;
+            let model = s.solve();
+            assert_eq!(
+                model.is_some(),
+                solve_reference(&f).is_some(),
+                "seed {seed}"
+            );
+            for v in 0..4 {
+                let a = [Lit::neg(Var(v)), Lit::pos(Var(v + 5))];
+                let _ = s.solve_assuming(&a, &mut never);
+            }
+            // An interrupted pick goes back to the heap.
+            let _ = s.solve_with_stop(&mut |n| n > 20);
+            let _ = s.solve();
+            assert_eq!(s.picks_checked, s.decisions, "seed {seed}");
+            decisions += s.decisions;
+        }
+        assert!(decisions > 500, "the check saw real branching: {decisions}");
+    }
+
+    /// Adds a pigeonhole instance (`holes + 1` pigeons, `holes` holes)
+    /// over fresh variables, every clause guarded by a fresh selector, and
+    /// returns the selector: assuming it is a hard refutation, and the
+    /// formula stays satisfiable without it.
+    fn add_guarded_pigeonhole(s: &mut Solver, holes: usize) -> Lit {
+        let sel = Lit::pos(s.add_var());
+        let p: Vec<Vec<Var>> = (0..=holes)
+            .map(|_| (0..holes).map(|_| s.add_var()).collect())
+            .collect();
+        for row in &p {
+            let mut somewhere: Vec<Lit> = row.iter().map(|&v| Lit::pos(v)).collect();
+            somewhere.push(sel.negated());
+            s.add_clause(&somewhere);
+        }
+        for h in 0..holes {
+            for (i, first) in p.iter().enumerate() {
+                for second in &p[i + 1..] {
+                    s.add_clause(&[sel.negated(), Lit::neg(first[h]), Lit::neg(second[h])]);
+                }
+            }
+        }
+        sel
+    }
+
+    #[test]
+    fn the_arena_stays_bounded_across_reductions() {
+        // One solver refutes a fresh guarded pigeonhole instance per round
+        // with a tiny learnt allowance, so reduce_db runs over and over.
+        // After each round no more than half of the arena belongs to
+        // deleted clauses, and the arena holds exactly the live clauses'
+        // literals plus that waste.
+        let mut s = Solver::with_vars(0);
+        s.max_learnts = 4;
+        let mut compactions = 0;
+        for round in 0..25 {
+            let sel = add_guarded_pigeonhole(&mut s, 5);
+            let before = s.arena.len();
+            assert!(matches!(
+                s.solve_assuming(&[sel], &mut never),
+                SolveOutcome::Unsat
+            ));
+            compactions += usize::from(s.arena.len() < before);
+            assert!(2 * s.wasted <= s.arena.len(), "round {round}");
+            let live: usize = s
+                .clauses
+                .iter()
+                .filter(|c| !c.deleted)
+                .map(|c| c.len as usize)
+                .sum();
+            assert_eq!(s.arena.len(), live + s.wasted, "round {round}");
+            let tombstones = s.clauses.iter().filter(|c| c.deleted).count();
+            assert!(tombstones <= s.clauses.len() - tombstones, "round {round}");
+        }
+        assert!(s.conflicts > 2_000, "enough conflicts to reduce many times");
+        assert!(compactions > 0, "compaction ran");
+        assert!(matches!(
+            s.solve_assuming(&[], &mut never),
+            SolveOutcome::Sat(_)
+        ));
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //!   pair, closed transitively. They are asserted first, so the solver
 //!   simplifies every later clause against the whole base order;
 //! * **totality + transitivity** — totality is the sign convention; a
-//!   tournament is transitive iff it has no 3-cycle, so each unordered
-//!   triple `i < j < k` gets exactly two clauses, one per cyclic
-//!   orientation (`¬o(i,j) ∨ ¬o(j,k) ∨ ¬o(k,i)` and its mirror). A
-//!   transitive tournament is exactly a strict total order, so any model
-//!   *is* a schedule. The solver drops every clause a base fact satisfies
-//!   (a triple with two or more base-ordered pairs adds nothing, so a
-//!   single-process trace adds no transitivity clause at all) and
-//!   shortens the one a single base-ordered pair leaves to two literals;
+//!   tournament is transitive iff it has no 3-cycle, so a triple
+//!   `i < j < k` that no base pair orders gets exactly two clauses, one
+//!   per cyclic orientation (`¬o(i,j) ∨ ¬o(j,k) ∨ ¬o(k,i)` and its
+//!   mirror). A transitive tournament is exactly a strict total order, so
+//!   any model *is* a schedule. Transitivity is emitted only where the
+//!   base order leaves it open (see *Transitivity along covering edges*
+//!   below): a triple whose one base pair `(y, z)` is a covering edge of
+//!   `cl(base)` gets the binary `¬o(x,y) ∨ o(x,z)`, and every other triple
+//!   gets nothing;
 //! * **semaphore tokens** — a matching variable `m_{t,p}` for every P
 //!   event `p` and every token source `t` (a V event or one of the
 //!   semaphore's initial tokens): each P claims at least one source, each
@@ -85,10 +86,37 @@
 //! need no extra clauses: the model is a feasible schedule that fires `a`
 //! and `b` right there.
 //!
-//! The transitivity clauses are cubic in |E| before the base facts prune
-//! them; only triples with at most one base-ordered pair keep any, so
-//! the encoding shrinks as the base order covers more of the trace.
-//! E19 measures the backend against the enumerating engine.
+//! ## Transitivity along covering edges
+//!
+//! Every model must be a transitive tournament: no triple may be ordered
+//! as a 3-cycle. The base units already settle most triples, so only
+//! these keep clauses:
+//!
+//! * **No base pair.** The triple keeps both "no 3-cycle" clauses.
+//! * **One base pair `(y, z)`, a covering edge** of `cl(base)` (no `w`
+//!   with `y < w < z`). The cycle through `y → z` is `x → y → z → x`, so
+//!   the triple keeps `¬o(x,y) ∨ o(x,z)`. The other cycle needs `z`
+//!   before `y`, which the unit `o(y,z)` already forbids.
+//!
+//! Nothing else is emitted, and every omitted triple is still safe:
+//!
+//! * **Two or more base pairs.** Either they form a path, `x < y` and
+//!   `y < z`, and then the closure orders `x < z` as a unit, so the whole
+//!   triple is fixed. Or they share an endpoint, as `x < y` and `x < z`
+//!   (or `y < x` and `z < x`). Each 3-cycle orientation runs one of those
+//!   two pairs backwards, so the units refute both cycles.
+//! * **One base pair `(y, z)` that is not covering**, with `x` unordered
+//!   with both. Take a covering chain `y = w₀ < w₁ < … < w_m = z` of
+//!   `cl(base)`. Every `wᵢ` is unordered with `x` too: `wᵢ < x` would
+//!   give `y < x`, and `x < wᵢ` would give `x < z`. So each triple
+//!   `(x, wᵢ, wᵢ₊₁)` has one base pair, a covering edge, and keeps the
+//!   binary `o(x,wᵢ) → o(x,wᵢ₊₁)`. Chained, they force
+//!   `o(x,y) → o(x,z)`, which is this triple's one cycle clause.
+//!
+//! Every "no 3-cycle" clause of the full encoding is thus implied, and
+//! the models are unchanged. The triples left open are few where the base
+//! order is dense; a single-process trace adds no transitivity clause at
+//! all. E19 measures the backend against the enumerating engine.
 
 use eo_model::{EventId, Op, Trace};
 use eo_relations::Relation;
@@ -121,6 +149,8 @@ pub struct PoEncoding {
     /// →D predecessors of each event under the encoding's feasibility
     /// mode (empty in dependence-ignoring mode).
     d_preds: Vec<Vec<usize>>,
+    /// `cl(base)`: the order every feasible schedule keeps.
+    base: Relation,
     /// Lazily created activation literals for overlap queries, keyed by
     /// the ordered pair (first-to-fire, second-to-fire).
     overlap_acts: HashMap<(usize, usize), Lit>,
@@ -152,17 +182,38 @@ impl PoEncoding {
             }
         }
 
-        // Totality is implicit (o or ¬o); transitivity is "no 3-cycle":
-        // one clause per cyclic orientation of each unordered triple.
+        // Totality is implicit (o or ¬o); transitivity is "no 3-cycle",
+        // emitted only where the base order leaves it open (the module
+        // docs argue that the rest follow): both cycle clauses for a
+        // triple with no base pair, and the binary ¬o(x,y) ∨ o(x,z) for a
+        // triple whose one base pair y < z is a covering edge.
+        let through = base.compose(&base);
+        let ordered = |a: usize, b: usize| !base.unordered(a, b);
+        // The binary of the triple {a, b, x} whose one base pair is {a, b}.
+        let along_edge = |solver: &mut Solver, a: usize, b: usize, x: usize| {
+            let (y, z) = if base.contains(a, b) { (a, b) } else { (b, a) };
+            if !through.contains(y, z) {
+                solver.add_clause(&[before(x, y).negated(), before(x, z)]);
+            }
+        };
         for i in 0..n {
             for j in (i + 1)..n {
+                let ij = ordered(i, j);
                 for k in (j + 1)..n {
-                    for (x, y, z) in [(i, j, k), (i, k, j)] {
-                        solver.add_clause(&[
-                            before(x, y).negated(),
-                            before(y, z).negated(),
-                            before(z, x).negated(),
-                        ]);
+                    match (ij, ordered(j, k), ordered(i, k)) {
+                        (false, false, false) => {
+                            for (x, y, z) in [(i, j, k), (i, k, j)] {
+                                solver.add_clause(&[
+                                    before(x, y).negated(),
+                                    before(y, z).negated(),
+                                    before(z, x).negated(),
+                                ]);
+                            }
+                        }
+                        (true, false, false) => along_edge(&mut solver, i, j, k),
+                        (false, true, false) => along_edge(&mut solver, j, k, i),
+                        (false, false, true) => along_edge(&mut solver, i, k, j),
+                        _ => {}
                     }
                 }
             }
@@ -334,6 +385,7 @@ impl PoEncoding {
             creator,
             join_gates,
             d_preds,
+            base,
             overlap_acts: HashMap::new(),
             core_clauses,
         }
@@ -383,6 +435,12 @@ impl PoEncoding {
     /// The shared solver's work counters, for metrics emission.
     pub fn solver(&self) -> &Solver {
         &self.solver
+    }
+
+    /// `cl(base)`, the transitive closure of program order, fork/join and
+    /// the encoded →D: the order every feasible schedule keeps.
+    pub fn base_order(&self) -> &Relation {
+        &self.base
     }
 
     /// The literal asserting "a executes before b".
@@ -652,13 +710,48 @@ mod tests {
         let enc = encoding_of(&trace);
         assert_eq!(enc.core_clause_count(), 2 + 4 * 2 + 6);
 
-        // On the fork/join diamond the base order prunes every triple:
+        // On the fork/join diamond the base order settles every triple:
         // its only unordered pair is the two children, and any third
         // event is ordered with both, so the core is the units alone.
         let (trace, _) = fixtures::fork_join_diamond();
         let exec = trace.to_execution().unwrap();
         let cl = eo_model::induce::base_edges(exec.trace(), exec.d()).transitive_closure();
         assert_eq!(encoding_of(&trace).core_clause_count(), cl.pairs().count());
+    }
+
+    #[test]
+    fn only_covering_edges_keep_a_binary() {
+        // p0 = a0; a1; a2 and p1 = c: a three-event chain and one event
+        // unordered with all three. The chain's 3 units settle its own
+        // triple. Of the triples with c, (a0, a1, c) and (a1, a2, c) each
+        // have one base pair, a covering edge, and keep a binary; the
+        // binary of (a0, a2, c) is their chain, so it is not emitted.
+        let mut tb = eo_model::TraceBuilder::new();
+        let p0 = tb.process("p0");
+        let a: Vec<EventId> = (0..3).map(|k| tb.compute(p0, &format!("a{k}"))).collect();
+        let p1 = tb.process("p1");
+        let c = tb.compute(p1, "c");
+        let trace = tb.build().unwrap();
+        let mut enc = encoding_of(&trace);
+        assert_eq!(enc.core_clause_count(), 3 + 2);
+
+        // The omitted clause still holds: c between a0 and a2 needs c
+        // between a0 and a1 or between a1 and a2, and both orders of c
+        // against each chain event stay feasible.
+        for (x, y) in [(a[0], c), (c, a[2]), (c, a[0]), (a[2], c)] {
+            assert!(matches!(
+                enc.solve_before(x, y, &mut never),
+                SymOutcome::Sat(_)
+            ));
+        }
+        match enc.solve_before(a[0], c, &mut never) {
+            SymOutcome::Sat(model) => {
+                let schedule = enc.decode_schedule(&model);
+                let pos = |e: EventId| schedule.iter().position(|&x| x == e).unwrap();
+                assert!(pos(a[0]) < pos(a[1]) && pos(a[1]) < pos(a[2]));
+            }
+            o => panic!("expected Sat, got {o:?}"),
+        }
     }
 
     #[test]

@@ -262,25 +262,77 @@ fn error_json(e: &EngineError) -> String {
     }
 }
 
-fn print_exact_report(exec: &ProgramExecution, mode: FeasibilityMode, summary: &OrderingSummary) {
-    println!(
+/// Standard output for `eo analyze`'s report. A closed pipe (`eo analyze
+/// … | head -1`) ends the report quietly instead of panicking, so the
+/// command still exits with the analysis's own code; any other write
+/// error panics, as `println!` does.
+struct ReportOut {
+    stdout: std::io::Stdout,
+    closed: bool,
+}
+
+impl ReportOut {
+    fn new() -> Self {
+        ReportOut {
+            stdout: std::io::stdout(),
+            closed: false,
+        }
+    }
+
+    fn print(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = std::io::Write::write_fmt(&mut self.stdout, args) {
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                panic!("failed printing to stdout: {e}");
+            }
+            self.closed = true;
+        }
+    }
+}
+
+/// `print!` into a [`ReportOut`].
+macro_rules! out {
+    ($out:expr, $($arg:tt)*) => {
+        $out.print(format_args!($($arg)*))
+    };
+}
+
+/// `println!` into a [`ReportOut`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        $out.print(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn print_exact_report(
+    out: &mut ReportOut,
+    exec: &ProgramExecution,
+    mode: FeasibilityMode,
+    summary: &OrderingSummary,
+) {
+    outln!(
+        out,
         "\nfeasibility: {:?}; |F(P)| = {}, cut-lattice states = {}",
         mode,
         summary.class_count(),
         summary.state_count()
     );
 
-    println!("\nmust-have-happened-before (transitive reduction):");
-    print!(
+    outln!(out, "\nmust-have-happened-before (transitive reduction):");
+    out!(
+        out,
         "{}",
         render::render_relation(exec, &summary.mhb_relation(), true)
     );
-    println!("\ncould-be-concurrent pairs:");
+    outln!(out, "\ncould-be-concurrent pairs:");
     let ccw = summary.ccw_relation();
     for a in 0..exec.n_events() {
         for b in (a + 1)..exec.n_events() {
             if ccw.contains(a, b) {
-                println!(
+                outln!(
+                    out,
                     "{} || {}",
                     render::event_name(exec, EventId::new(a)),
                     render::event_name(exec, EventId::new(b))
@@ -290,9 +342,14 @@ fn print_exact_report(exec: &ProgramExecution, mode: FeasibilityMode, summary: &
     }
 }
 
-fn print_degraded_report(exec: &ProgramExecution, d: &DegradedSummary) {
-    println!("\nDEGRADED ANALYSIS — budget exhausted: {}", d.reason());
-    println!(
+fn print_degraded_report(out: &mut ReportOut, exec: &ProgramExecution, d: &DegradedSummary) {
+    outln!(
+        out,
+        "\nDEGRADED ANALYSIS — budget exhausted: {}",
+        d.reason()
+    );
+    outln!(
+        out,
         "partial exact pass: {} states explored ({} completable, lattice {}), \
          {} induced orders recorded",
         d.states_explored(),
@@ -307,17 +364,18 @@ fn print_degraded_report(exec: &ProgramExecution, d: &DegradedSummary) {
     let (me, mb, mu) = d.mhb_counts();
     let (ce, cb, cu) = d.chb_counts();
     let (oe, ob, ou) = d.ccw_counts();
-    println!("facts decided (exact / bounded / unknown):");
-    println!("  MHB: {me} / {mb} / {mu}");
-    println!("  CHB: {ce} / {cb} / {cu}");
-    println!("  CCW: {oe} / {ob} / {ou}");
-    println!(
+    outln!(out, "facts decided (exact / bounded / unknown):");
+    outln!(out, "  MHB: {me} / {mb} / {mu}");
+    outln!(out, "  CHB: {ce} / {cb} / {cu}");
+    outln!(out, "  CCW: {oe} / {ob} / {ou}");
+    outln!(
+        out,
         "decided {:.1}% of {} relation instances",
         d.decided_fraction() * 100.0,
         d.total_pairs()
     );
     let n = exec.n_events();
-    println!("\nproved must-have-happened-before pairs:");
+    outln!(out, "\nproved must-have-happened-before pairs:");
     for a in 0..n {
         for b in 0..n {
             let (ea, eb) = (EventId::new(a), EventId::new(b));
@@ -326,7 +384,8 @@ fn print_degraded_report(exec: &ProgramExecution, d: &DegradedSummary) {
                     Fact::Bounded(_) => " (bounded)",
                     _ => "",
                 };
-                println!(
+                outln!(
+                    out,
                     "{} -> {}{tag}",
                     render::event_name(exec, ea),
                     render::event_name(exec, eb)
@@ -334,12 +393,13 @@ fn print_degraded_report(exec: &ProgramExecution, d: &DegradedSummary) {
             }
         }
     }
-    println!("\nproved could-be-concurrent pairs:");
+    outln!(out, "\nproved could-be-concurrent pairs:");
     for a in 0..n {
         for b in (a + 1)..n {
             let (ea, eb) = (EventId::new(a), EventId::new(b));
             if d.ccw(ea, eb).decided() == Some(true) {
-                println!(
+                outln!(
+                    out,
                     "{} || {}",
                     render::event_name(exec, ea),
                     render::event_name(exec, eb)
@@ -350,6 +410,7 @@ fn print_degraded_report(exec: &ProgramExecution, d: &DegradedSummary) {
 }
 
 fn analyze(args: &[String]) -> ExitCode {
+    let mut out = ReportOut::new();
     let fixture = match str_flag(args, "--fixture") {
         Ok(f) => f,
         Err(e) => {
@@ -414,19 +475,23 @@ fn analyze(args: &[String]) -> ExitCode {
         // vacuous relation report.
         obs.begin();
         if json {
-            println!(
+            outln!(
+                out,
                 r#"{{"schema_version":{SCHEMA_VERSION},"status":"exact","classes":1,"states":1,"note":"no events"}}"#
             );
         } else {
-            println!("no events: the trace is empty; all six ordering relations are empty");
+            outln!(
+                out,
+                "no events: the trace is empty; all six ordering relations are empty"
+            );
         }
         obs.flush();
         return ExitCode::SUCCESS;
     }
 
     if !json {
-        println!("trace ({} events):", exec.n_events());
-        print!("{}", render::render_trace(exec.trace()));
+        outln!(out, "trace ({} events):", exec.n_events());
+        out!(out, "{}", render::render_trace(exec.trace()));
     }
 
     let mode = cfg.mode;
@@ -452,16 +517,17 @@ fn analyze(args: &[String]) -> ExitCode {
         let code = match engine.try_summary() {
             Ok(summary) => {
                 if json {
-                    println!(
+                    outln!(
+                        out,
                         r#"{{"schema_version":{SCHEMA_VERSION},"status":"exact","classes":{},"states":{}}}"#,
                         summary.class_count(),
                         summary.state_count()
                     );
                 } else {
-                    print_exact_report(&exec, mode, &summary);
+                    print_exact_report(&mut out, &exec, mode, &summary);
                     if matrix {
-                        println!("\nMHB matrix:");
-                        print!("{}", render::render_matrix(&summary.mhb_relation()));
+                        outln!(out, "\nMHB matrix:");
+                        out!(out, "{}", render::render_matrix(&summary.mhb_relation()));
                     }
                 }
                 ExitCode::SUCCESS
@@ -471,7 +537,8 @@ fn analyze(args: &[String]) -> ExitCode {
                 // the cause here for the flushed metrics.
                 eo_obs::gauge_str(eo_obs::report::DEGRADATION_CAUSE, e.cause_label());
                 if json {
-                    println!(
+                    outln!(
+                        out,
                         r#"{{"schema_version":{SCHEMA_VERSION},"status":"error","error":{}}}"#,
                         error_json(&e)
                     );
@@ -488,16 +555,17 @@ fn analyze(args: &[String]) -> ExitCode {
     let code = match engine.analyze() {
         AnalysisOutcome::Exact(summary) => {
             if json {
-                println!(
+                outln!(
+                    out,
                     r#"{{"schema_version":{SCHEMA_VERSION},"status":"exact","classes":{},"states":{}}}"#,
                     summary.class_count(),
                     summary.state_count()
                 );
             } else {
-                print_exact_report(&exec, mode, &summary);
+                print_exact_report(&mut out, &exec, mode, &summary);
                 if matrix {
-                    println!("\nMHB matrix:");
-                    print!("{}", render::render_matrix(&summary.mhb_relation()));
+                    outln!(out, "\nMHB matrix:");
+                    out!(out, "{}", render::render_matrix(&summary.mhb_relation()));
                 }
             }
             ExitCode::SUCCESS
@@ -513,7 +581,8 @@ fn analyze(args: &[String]) -> ExitCode {
                 let (me, mb, mu) = d.mhb_counts();
                 let (ce, cb, cu) = d.chb_counts();
                 let (oe, ob, ou) = d.ccw_counts();
-                println!(
+                outln!(
+                    out,
                     r#"{{"schema_version":{SCHEMA_VERSION},"status":"degraded","reason":{},"states_explored":{},"completable_states":{},"space_complete":{},"orders_found":{},"decided_fraction":{:.4},"mhb":{{"exact":{me},"bounded":{mb},"unknown":{mu}}},"chb":{{"exact":{ce},"bounded":{cb},"unknown":{cu}}},"ccw":{{"exact":{oe},"bounded":{ob},"unknown":{ou}}}}}"#,
                     error_json(d.reason()),
                     d.states_explored(),
@@ -523,7 +592,7 @@ fn analyze(args: &[String]) -> ExitCode {
                     d.decided_fraction(),
                 );
             } else {
-                print_degraded_report(&exec, &d);
+                print_degraded_report(&mut out, &exec, &d);
             }
             ExitCode::from(2)
         }

@@ -228,3 +228,40 @@ fn usage_errors_exit_one() {
     );
     assert_eq!(eo(&["frobnicate"]).status.code(), Some(1));
 }
+
+#[test]
+fn a_closed_stdout_ends_the_report_quietly() {
+    // `eo analyze … | head -1`: the reader goes away mid-report. A
+    // one-process trace of 1,500 events prints about 85 KB, more than a
+    // pipe holds, so the writes after the read end closes fail with
+    // EPIPE however the two processes are scheduled.
+    let events: Vec<String> = (0..1500)
+        .map(|i| {
+            format!(
+                r#"{{"id":{i},"process":0,"op":"Compute","reads":[],"writes":[],"label":null}}"#
+            )
+        })
+        .collect();
+    let trace = tmp("long.trace.json");
+    std::fs::write(
+        &trace,
+        format!(
+            r#"{{"events":[{}],"processes":[{{"name":"main","created_by":null}}],"semaphores":[],"event_vars":[],"variables":[]}}"#,
+            events.join(",")
+        ),
+    )
+    .expect("writing the trace");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_eo"))
+        .arg("analyze")
+        .arg(&trace)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawning eo");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("waiting for eo");
+    std::fs::remove_file(&trace).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
