@@ -89,13 +89,15 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// The **typed** dependence input in force ([`eo_model::Dependence`]):
-    /// the execution's per-class →D, or the empty dependence when
-    /// dependences are ignored. Its flat fold equals
+    /// the execution's per-class →D, borrowed, or the empty dependence
+    /// when dependences are ignored. Its flat fold equals
     /// [`Self::effective_d`].
-    pub fn effective_dependence(&self) -> eo_model::Dependence {
+    pub fn effective_dependence(&self) -> Cow<'a, eo_model::Dependence> {
         match self.mode {
-            FeasibilityMode::PreserveDependences => self.exec.dependence().clone(),
-            FeasibilityMode::IgnoreDependences => eo_model::Dependence::empty(self.n_events()),
+            FeasibilityMode::PreserveDependences => Cow::Borrowed(self.exec.dependence()),
+            FeasibilityMode::IgnoreDependences => {
+                Cow::Owned(eo_model::Dependence::empty(self.n_events()))
+            }
         }
     }
 

@@ -176,9 +176,14 @@ impl<'a> ExactEngine<'a> {
     pub fn try_summary(&self) -> Result<OrderingSummary, EngineError> {
         eo_obs::span!("engine.try_summary");
         let budget = self.effective_budget();
-        let space = statespace::explore_statespace_budgeted(&self.ctx, &budget)?;
+        let statespace::PartialExploration { mut chart, stopped } =
+            statespace::chart_budgeted(&self.ctx, &budget);
+        if let Some(e) = stopped {
+            return Err(e);
+        }
+        let space = statespace::finalize(&self.ctx, &mut chart);
         let (classes, stopped) =
-            enumerate_classes_budgeted_with(&self.ctx, &budget, self.opts.equiv);
+            enumerate_classes_budgeted_with(&self.ctx, Some(&chart), &budget, self.opts.equiv);
         if let Some(e) = stopped {
             return Err(e);
         }
@@ -198,17 +203,24 @@ impl<'a> ExactEngine<'a> {
     pub fn analyze(&self) -> AnalysisOutcome {
         eo_obs::span!("engine.analyze");
         let budget = self.effective_budget();
-        let statespace::PartialExploration { mut graph, stopped } =
-            statespace::build_graph_budgeted(&self.ctx, &budget);
+        let statespace::PartialExploration { mut chart, stopped } =
+            statespace::chart_budgeted(&self.ctx, &budget);
         let space_complete = stopped.is_none();
-        let space = statespace::finalize(&self.ctx, &mut graph, space_complete);
+        let space = statespace::finalize(&self.ctx, &mut chart);
         // Enumeration still runs after a truncated space pass: its orders
         // are complete feasible executions in their own right, and every
-        // one sharpens the degraded facts. The budget is already
-        // exhausted in the deadline/cancel cases, so the first checkpoint
-        // stops it immediately; cap-based cases keep their own caps.
-        let (classes, enum_stopped) =
-            enumerate_classes_budgeted_with(&self.ctx, &budget, self.opts.equiv);
+        // one sharpens the degraded facts. It walks the chart when the
+        // pass completed it. After a truncated pass it steps the machine
+        // instead, since extending the chart would intern states past the
+        // cap. The budget is already exhausted in the deadline/cancel
+        // cases, so the first checkpoint stops it immediately; cap-based
+        // cases keep their own caps.
+        let (classes, enum_stopped) = enumerate_classes_budgeted_with(
+            &self.ctx,
+            space_complete.then_some(&chart),
+            &budget,
+            self.opts.equiv,
+        );
         // Headroom at completion: how much of each budgeted resource was
         // left over (-1 = that resource was uncapped). Gated so the
         // bookkeeping costs nothing outside a recording run.
@@ -261,8 +273,12 @@ impl<'a> ExactEngine<'a> {
 
     /// Enumerates F(P) (the distinct induced partial orders).
     pub fn feasible_set(&self) -> Result<EnumerationResult, EngineError> {
-        let (r, stopped) =
-            enumerate_classes_budgeted_with(&self.ctx, &self.effective_budget(), self.opts.equiv);
+        let (r, stopped) = enumerate_classes_budgeted_with(
+            &self.ctx,
+            None,
+            &self.effective_budget(),
+            self.opts.equiv,
+        );
         match stopped {
             Some(e) => Err(e),
             None => Ok(r),

@@ -38,8 +38,23 @@
 //! from-scratch [`SearchCtx::induced_order`] leaf as the reference. The
 //! visit order is the same as with from-scratch leaves, so
 //! `schedules_explored`, `pruned_branches`, the truncation point and the
-//! `orders` sequence are too. Machine states and sleep sets are pooled
-//! per depth: in steady state the search allocates only for a new order.
+//! `orders` sequence are too.
+//!
+//! **Where successors come from.** The DFS is written once, generic over
+//! its successor source. [`ExactEngine::analyze`](crate::ExactEngine::analyze)
+//! and [`try_summary`](crate::ExactEngine::try_summary) pass the chart
+//! their state-space pass completed ([`crate::statespace`]): a step reads
+//! the child's state id from the parent's successor slot, and the
+//! canonical key comes from the interned state, so nothing is cloned,
+//! stepped or re-derived. Machine stepping remains only where no complete
+//! chart exists — the public `enumerate_classes*`, `feasible_set`,
+//! [`enumerate_naive`], and the enumeration after a budget-truncated
+//! space pass, which must not intern states past the state cap; there,
+//! machine states are pooled per depth. The chart lists co-enabled
+//! events in the machine's order, so both sources visit the same
+//! children in the same order, with the same four results. Sleep sets
+//! are pooled per depth too: in steady state the search allocates only
+//! for a new order.
 //!
 //! All variants deduplicate induced orders — by 128-bit matrix
 //! fingerprint ([`eo_relations::Relation::fingerprint128`]), with the
@@ -52,6 +67,8 @@ use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
 use crate::equiv::{closed_insert, combine_key, EquivStrategy, ScanState, ScanUndo};
+use crate::statespace::Chart;
+use crate::statetable::StateId;
 use eo_model::{induce, EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashSet;
 use eo_relations::{closure, BitSet, Relation};
@@ -126,8 +143,133 @@ fn matrix_bytes(n: usize) -> usize {
     (n * n).div_ceil(8) + 64
 }
 
-struct Enumerator<'c, 'a> {
+/// Where the schedule DFS reads each state's co-enabled events and
+/// children from. The search holds one state per depth of the current
+/// path; a source answers for the state at a depth and moves the next
+/// depth to a child. Both sources list a state's co-enabled events in
+/// the same (process) order, so the DFS visits the same children in the
+/// same order whichever one it walks.
+trait Successors {
+    /// Whether the state at `depth` has executed every event.
+    fn is_complete(&self, ctx: &SearchCtx<'_>, depth: usize) -> bool;
+    /// Loads the co-enabled events of the state at `depth` and returns
+    /// how many there are.
+    fn expand(&mut self, ctx: &SearchCtx<'_>, depth: usize) -> usize;
+    /// The `k`-th co-enabled event of the state at `depth`, after
+    /// [`Successors::expand`].
+    fn event(&self, depth: usize, k: usize) -> EventId;
+    /// Makes the state at `depth + 1` the one firing the `k`-th
+    /// co-enabled event at `depth` leads to.
+    fn descend(&mut self, ctx: &SearchCtx<'_>, depth: usize, k: usize);
+    /// The machine state at `depth`.
+    fn state(&self, depth: usize) -> &MachState;
+    /// Heap bytes the source holds, fixed from construction on.
+    fn heap_bytes(&self) -> usize;
+}
+
+/// Successors by stepping the machine, wherever no complete chart
+/// exists: each depth owns a machine state and a co-enabled buffer,
+/// overwritten in place (`clone_from`), so in steady state stepping
+/// allocates nothing.
+struct MachineSteps {
+    /// `states[d]`: the machine state after the first `d` events of the
+    /// current path.
+    states: Vec<MachState>,
+    /// `enabled[d]`: the co-enabled list of `states[d]`.
+    enabled: Vec<Vec<(ProcessId, EventId)>>,
+}
+
+impl MachineSteps {
+    fn new(ctx: &SearchCtx<'_>) -> Self {
+        let n = ctx.n_events();
+        MachineSteps {
+            states: vec![ctx.initial_state(); n + 1],
+            enabled: vec![Vec::new(); n + 1],
+        }
+    }
+}
+
+impl Successors for MachineSteps {
+    fn is_complete(&self, ctx: &SearchCtx<'_>, depth: usize) -> bool {
+        ctx.is_complete(&self.states[depth])
+    }
+
+    fn expand(&mut self, ctx: &SearchCtx<'_>, depth: usize) -> usize {
+        ctx.co_enabled_into(&self.states[depth], &mut self.enabled[depth]);
+        self.enabled[depth].len()
+    }
+
+    fn event(&self, depth: usize, k: usize) -> EventId {
+        self.enabled[depth][k].1
+    }
+
+    fn descend(&mut self, ctx: &SearchCtx<'_>, depth: usize, k: usize) {
+        let p = self.enabled[depth][k].0;
+        let (cur, next) = self.states.split_at_mut(depth + 1);
+        next[0].clone_from(&cur[depth]);
+        ctx.step(&mut next[0], p);
+    }
+
+    fn state(&self, depth: usize) -> &MachState {
+        &self.states[depth]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.states.len() * self.states[0].heap_bytes()
+    }
+}
+
+/// Successors read from a complete [`Chart`] of the cut lattice: each
+/// depth holds a state id, a state's co-enabled events are its chart
+/// edges, and a child is the edge's successor slot. No state is cloned,
+/// stepped or hashed.
+struct ChartWalk<'g> {
+    chart: &'g Chart,
+    /// `path[d]`: the state after the first `d` events of the current
+    /// path.
+    path: Vec<StateId>,
+}
+
+impl<'g> ChartWalk<'g> {
+    fn new(chart: &'g Chart, n: usize) -> Self {
+        debug_assert!(chart.is_complete(), "the chart walk needs every edge");
+        ChartWalk {
+            chart,
+            path: vec![StateId::new(0); n + 1],
+        }
+    }
+}
+
+impl Successors for ChartWalk<'_> {
+    fn is_complete(&self, ctx: &SearchCtx<'_>, depth: usize) -> bool {
+        ctx.is_complete(self.state(depth))
+    }
+
+    fn expand(&mut self, _: &SearchCtx<'_>, depth: usize) -> usize {
+        self.chart.out_degree(self.path[depth])
+    }
+
+    fn event(&self, depth: usize, k: usize) -> EventId {
+        self.chart.event(self.path[depth], k)
+    }
+
+    fn descend(&mut self, _: &SearchCtx<'_>, depth: usize, k: usize) {
+        self.path[depth + 1] = self.chart.successor(self.path[depth], k);
+    }
+
+    fn state(&self, depth: usize) -> &MachState {
+        self.chart.state(self.path[depth])
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.path.len() * size_of::<StateId>()
+    }
+}
+
+struct Enumerator<'c, 'a, S> {
     ctx: &'c SearchCtx<'a>,
+    /// Where each state's co-enabled events and children come from.
+    src: S,
     max_schedules: usize,
     use_sleep: bool,
     schedule: Vec<EventId>,
@@ -146,16 +288,9 @@ struct Enumerator<'c, 'a> {
     /// for the memory budget.
     order_bytes: usize,
     /// Heap bytes allocated once per enumeration and never grown: the
-    /// per-depth pools, the dependence rows, the closed base and leaf
+    /// successor source, the dependence rows, the closed base and leaf
     /// scratch, and the scan.
     fixed_bytes: usize,
-    /// Recycled co-enabled buffers, one per active recursion depth — the
-    /// search allocates no per-state vectors in steady state.
-    enabled_pool: Vec<Vec<(ProcessId, EventId)>>,
-    /// `states[d]`: the machine state after the first `d` events of
-    /// `schedule`. Stepping to depth `d + 1` overwrites the buffers of
-    /// `states[d + 1]` in place.
-    states: Vec<MachState>,
     // --- sleep sets (engaged iff `use_sleep`) ---
     /// `sleeps[d]`: the sleep set at depth `d`, grown in place with each
     /// explored sibling.
@@ -184,7 +319,7 @@ struct Enumerator<'c, 'a> {
     visited: FxHashSet<u128>,
 }
 
-impl Enumerator<'_, '_> {
+impl<S: Successors> Enumerator<'_, '_, S> {
     fn record(&mut self) {
         // Truncation means "there was more to record than the budget
         // allowed": trip it only when an (N+1)-th schedule shows up, so an
@@ -247,14 +382,12 @@ impl Enumerator<'_, '_> {
         true
     }
 
-    /// Executes `e` (the next event of `p`) from the current depth into
-    /// the next: machine state, schedule, and the scan when pruning. The
-    /// result undoes the scan step via [`Enumerator::ascend`].
-    fn descend(&mut self, p: ProcessId, e: EventId) -> Option<(ScanUndo, usize)> {
-        let depth = self.schedule.len();
-        let (cur, next) = self.states.split_at_mut(depth + 1);
-        next[0].clone_from(&cur[depth]);
-        self.ctx.step(&mut next[0], p);
+    /// Fires `e`, the `k`-th co-enabled event at the current depth, into
+    /// the next: the source's state, the schedule, and the scan when
+    /// pruning. The result undoes the scan step via
+    /// [`Enumerator::ascend`].
+    fn descend(&mut self, k: usize, e: EventId) -> Option<(ScanUndo, usize)> {
+        self.src.descend(self.ctx, self.schedule.len(), k);
         self.schedule.push(e);
         let mark = self.edge_stack.len();
         let undo = self
@@ -280,13 +413,12 @@ impl Enumerator<'_, '_> {
             return;
         }
         let depth = self.schedule.len();
-        if self.ctx.is_complete(&self.states[depth]) {
+        if self.src.is_complete(self.ctx, depth) {
             self.record();
             return;
         }
-        let mut enabled = self.enabled_pool.pop().unwrap_or_default();
-        self.ctx.co_enabled_into(&self.states[depth], &mut enabled);
-        for &(p, e) in &enabled {
+        for k in 0..self.src.expand(self.ctx, depth) {
+            let e = self.src.event(depth, k);
             if self.use_sleep {
                 if self.sleeps[depth].contains(e.index()) {
                     self.pruned_branches += 1;
@@ -298,7 +430,7 @@ impl Enumerator<'_, '_> {
                 next[0].clone_from(&cur[depth]);
                 next[0].difference_with(&self.dep[e.index()]);
             }
-            let undo = self.descend(p, e);
+            let undo = self.descend(k, e);
             self.explore();
             self.ascend(undo);
             if self.truncated || self.stopped.is_some() {
@@ -308,7 +440,6 @@ impl Enumerator<'_, '_> {
                 self.sleeps[depth].insert(e.index());
             }
         }
-        self.enabled_pool.push(enabled);
     }
 
     /// Memoized quotient-graph DFS for the canonical strategy. No sleep
@@ -322,28 +453,25 @@ impl Enumerator<'_, '_> {
             return;
         }
         let depth = self.schedule.len();
-        let st = &self.states[depth];
         let scan = self.scan.as_ref().expect("canonical search seeds the scan");
-        let key = combine_key(scan.state_key(st), scan.edge_hash());
+        let key = combine_key(scan.state_key(self.src.state(depth)), scan.edge_hash());
         if !self.visited.insert(key) {
             self.pruned_branches += 1;
             return;
         }
-        if self.ctx.is_complete(st) {
+        if self.src.is_complete(self.ctx, depth) {
             self.record();
             return;
         }
-        let mut enabled = self.enabled_pool.pop().unwrap_or_default();
-        self.ctx.co_enabled_into(st, &mut enabled);
-        for &(p, e) in &enabled {
-            let undo = self.descend(p, e);
+        for k in 0..self.src.expand(self.ctx, depth) {
+            let e = self.src.event(depth, k);
+            let undo = self.descend(k, e);
             self.explore_canon();
             self.ascend(undo);
             if self.truncated || self.stopped.is_some() {
                 break;
             }
         }
-        self.enabled_pool.push(enabled);
     }
 }
 
@@ -355,8 +483,9 @@ struct SearchConfig {
     prune: bool,
 }
 
-fn run(
+fn run<S: Successors>(
     ctx: &SearchCtx<'_>,
+    src: S,
     max_schedules: usize,
     config: SearchConfig,
     budget: Option<&Budget>,
@@ -368,7 +497,6 @@ fn run(
     let trace = ctx.exec().trace();
 
     // Schedule-independent work, once per enumeration.
-    let initial = ctx.initial_state();
     let (sleeps, dep) = if use_sleep {
         let dep = (0..n)
             .map(|e| {
@@ -394,13 +522,14 @@ fn run(
     };
     // None of the above ever grows: the memory budget counts it once.
     let leaf_matrices = if config.prune { 2 } else { 0 };
-    let fixed_bytes = (n + 1) * initial.heap_bytes()
+    let fixed_bytes = src.heap_bytes()
         + (sleeps.len() + dep.len()) * n.div_ceil(64) * size_of::<u64>()
         + leaf_matrices * matrix_bytes(n)
         + scan.as_ref().map_or(0, ScanState::heap_bytes);
 
     let mut en = Enumerator {
         ctx,
+        src,
         max_schedules,
         use_sleep,
         schedule: Vec::with_capacity(n),
@@ -415,8 +544,6 @@ fn run(
         // closed n×n bit matrix plus container overhead.
         order_bytes: matrix_bytes(n) + 2 * size_of::<u128>(),
         fixed_bytes,
-        enabled_pool: Vec::new(),
-        states: vec![initial; n + 1],
         sleeps,
         dep,
         scan,
@@ -460,6 +587,31 @@ fn run(
     )
 }
 
+/// The pruned search under `strategy` with successors from `chart` when
+/// given, else from the machine.
+fn run_pruned(
+    ctx: &SearchCtx<'_>,
+    chart: Option<&Chart>,
+    max_schedules: usize,
+    strategy: EquivStrategy,
+    budget: Option<&Budget>,
+) -> (EnumerationResult, Option<EngineError>) {
+    let config = SearchConfig {
+        strategy,
+        prune: true,
+    };
+    match chart {
+        Some(chart) => run(
+            ctx,
+            ChartWalk::new(chart, ctx.n_events()),
+            max_schedules,
+            config,
+            budget,
+        ),
+        None => run(ctx, MachineSteps::new(ctx), max_schedules, config, budget),
+    }
+}
+
 /// Pruned enumeration under the default (Mazurkiewicz sleep-set)
 /// strategy: visits (roughly) one schedule per Mazurkiewicz class.
 pub fn enumerate_classes(ctx: &SearchCtx<'_>, max_schedules: usize) -> EnumerationResult {
@@ -472,16 +624,7 @@ pub fn enumerate_classes_with(
     max_schedules: usize,
     strategy: EquivStrategy,
 ) -> EnumerationResult {
-    run(
-        ctx,
-        max_schedules,
-        SearchConfig {
-            strategy,
-            prune: true,
-        },
-        None,
-    )
-    .0
+    run_pruned(ctx, None, max_schedules, strategy, None).0
 }
 
 /// Unpruned enumeration of every interleaving — the oracle/ablation
@@ -489,6 +632,7 @@ pub fn enumerate_classes_with(
 pub fn enumerate_naive(ctx: &SearchCtx<'_>, max_schedules: usize) -> EnumerationResult {
     run(
         ctx,
+        MachineSteps::new(ctx),
         max_schedules,
         SearchConfig {
             strategy: EquivStrategy::Mazurkiewicz,
@@ -501,23 +645,18 @@ pub fn enumerate_naive(ctx: &SearchCtx<'_>, max_schedules: usize) -> Enumeration
 
 /// Pruned enumeration under a supervisor [`Budget`] and an explicit
 /// [`EquivStrategy`]: the budget is checked once per DFS step, and the
-/// schedule cap comes from the budget itself. The second component
-/// reports why the search stopped early, if it did.
+/// schedule cap comes from the budget itself. Successors come from
+/// `chart`, which must be complete, when one is given; without one the
+/// search steps the machine. The second component reports why the
+/// search stopped early, if it did.
 pub(crate) fn enumerate_classes_budgeted_with(
     ctx: &SearchCtx<'_>,
+    chart: Option<&Chart>,
     budget: &Budget,
     strategy: EquivStrategy,
 ) -> (EnumerationResult, Option<EngineError>) {
     let cap = budget.schedules_cap();
-    let (result, stopped) = run(
-        ctx,
-        cap,
-        SearchConfig {
-            strategy,
-            prune: true,
-        },
-        Some(budget),
-    );
+    let (result, stopped) = run_pruned(ctx, chart, cap, strategy, Some(budget));
     let stopped = stopped.or(if result.truncated {
         Some(EngineError::ScheduleBudgetExceeded { limit: cap })
     } else {
@@ -740,5 +879,135 @@ mod tests {
         // Complete-at-cap is not truncation.
         let exact = enumerate_classes_with(&ctx, 10, EquivStrategy::NormalForm);
         assert!(!exact.truncated);
+    }
+
+    // --- the chart walk against the machine walk ---
+
+    /// The E9 pairing pitfall: a writer's `V` observably paired with the
+    /// reader's guarding `P`, plus `decoys` other `V`s that could have
+    /// served it instead.
+    fn pitfall_exec(decoys: usize) -> eo_model::ProgramExecution {
+        let mut b = eo_lang::ProgramBuilder::new();
+        let s = b.semaphore("s");
+        let x = b.variable("x");
+        let w = b.process("writer");
+        b.compute_rw(w, &[], &[x], "write_x");
+        b.sem_v(w, s);
+        for k in 0..decoys {
+            let d = b.process(&format!("decoy_{k}"));
+            b.sem_v(d, s);
+        }
+        let r = b.process("reader");
+        b.sem_p(r, s);
+        b.compute_rw(r, &[x], &[], "read_x");
+        eo_lang::run_to_trace(&b.build(), &mut eo_lang::Scheduler::deterministic())
+            .expect("pitfall program cannot deadlock")
+            .to_execution()
+            .expect("interpreter traces are valid")
+    }
+
+    /// Runs both successor sources on `exec` at caps from one schedule up
+    /// to 2²⁰, in both feasibility modes and under both strategies: the
+    /// walk over the complete chart must record the same `orders`
+    /// sequence, visit and prune the same schedules, and truncate at the
+    /// same point as the walk that steps the machine.
+    fn assert_chart_walk_replays_machine(label: &str, exec: &eo_model::ProgramExecution) {
+        for mode in [
+            FeasibilityMode::PreserveDependences,
+            FeasibilityMode::IgnoreDependences,
+        ] {
+            let ctx = SearchCtx::new(exec, mode);
+            let space = crate::statespace::chart_budgeted(&ctx, &Budget::unlimited());
+            assert!(space.stopped.is_none(), "{label}: the chart completes");
+            for strategy in EquivStrategy::ALL {
+                for cap in [1, 2, 17, 1 << 16, 1 << 20] {
+                    let at = format!("{label} {mode:?} {strategy} cap {cap}");
+                    let (machine, _) = run_pruned(&ctx, None, cap, strategy, None);
+                    let (walk, _) = run_pruned(&ctx, Some(&space.chart), cap, strategy, None);
+                    assert_eq!(walk.orders, machine.orders, "{at}: orders");
+                    assert_eq!(
+                        walk.schedules_explored, machine.schedules_explored,
+                        "{at}: schedules"
+                    );
+                    assert_eq!(walk.truncated, machine.truncated, "{at}: truncated");
+                    assert_eq!(
+                        walk.pruned_branches, machine.pruned_branches,
+                        "{at}: pruned branches"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chart_walk_replays_the_machine_walk_on_fixtures() {
+        let gallery = [
+            ("independent_pair", fixtures::independent_pair().0),
+            ("sem_handshake", fixtures::sem_handshake().0),
+            ("fork_join_diamond", fixtures::fork_join_diamond().0),
+            ("crossing", fixtures::crossing().0),
+            ("figure1", fixtures::figure1().0),
+            ("post_wait_clear_chain", fixtures::post_wait_clear_chain().0),
+            ("shared_counter_race", fixtures::shared_counter_race().0),
+        ];
+        for (label, trace) in gallery {
+            assert_chart_walk_replays_machine(label, &trace.to_execution().unwrap());
+        }
+    }
+
+    #[test]
+    fn chart_walk_replays_the_machine_walk_on_generated_programs() {
+        use eo_lang::generator::{generate_trace, WorkloadSpec};
+        for seed in 0..4 {
+            let mut spec = WorkloadSpec::small_semaphore(seed);
+            spec.processes = 4;
+            spec.events_per_process = 4;
+            let exec = generate_trace(&spec, 100).to_execution().unwrap();
+            assert_chart_walk_replays_machine(&format!("semaphores seed {seed}"), &exec);
+        }
+        // Event-style programs with `Clear`: deadlocking branches, and
+        // distinct pairing-edge sets closing to one order (seeds 0, 41).
+        for seed in [0, 1, 2, 3, 41] {
+            let mut spec = WorkloadSpec::small_events(seed);
+            spec.processes = 4;
+            spec.events_per_process = 4;
+            let exec = generate_trace(&spec, 100).to_execution().unwrap();
+            assert_chart_walk_replays_machine(&format!("events seed {seed}"), &exec);
+        }
+    }
+
+    /// The 7-decoy rung truncates the sleep-set search at 2¹⁶ schedules.
+    #[test]
+    fn chart_walk_replays_the_machine_walk_on_pitfall_4_to_7() {
+        for decoys in 4..=7 {
+            assert_chart_walk_replays_machine(&format!("pitfall-{decoys}"), &pitfall_exec(decoys));
+        }
+    }
+
+    /// Under a state cap that truncates the space pass, `analyze` has no
+    /// complete chart: the enumeration steps the machine, finds what an
+    /// enumeration without a chart finds, and interns nothing past the
+    /// cap.
+    #[test]
+    fn analyze_steps_the_machine_after_a_truncated_space_pass() {
+        use crate::{AnalysisOutcome, ExactEngine};
+        let exec = pitfall_exec(4);
+        let mode = FeasibilityMode::IgnoreDependences;
+        let full = ExactEngine::with_mode(&exec, mode).summary();
+        let cap = 40;
+        assert!(full.state_count() > cap, "the cap must truncate the space");
+        let engine = ExactEngine::with_mode(&exec, mode)
+            .with_budget(Budget::unlimited().with_max_states(cap));
+        let AnalysisOutcome::Degraded(d) = engine.analyze() else {
+            panic!("a truncated space pass degrades the analysis");
+        };
+        assert_eq!(d.reason(), &EngineError::StateSpaceExceeded { limit: cap });
+        assert!(!d.space_complete());
+        assert!(d.states_explored() <= cap);
+        let machine = enumerate_classes(&SearchCtx::new(&exec, mode), 1 << 20);
+        assert!(!machine.truncated);
+        assert_eq!(d.orders_found(), machine.orders.len());
+        assert_eq!(d.orders_found(), full.class_count());
+        d.check_consistency_against(&full).unwrap();
     }
 }

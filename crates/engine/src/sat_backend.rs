@@ -148,7 +148,12 @@ impl SatSession {
     /// trace's observed order (feasible by definition).
     pub fn with_budget(ctx: &SearchCtx<'_>, budget: Budget) -> SatSession {
         eo_obs::span!("sat.encode");
-        let enc = PoEncoding::with_dependence(ctx.exec().trace(), &ctx.effective_dependence());
+        // The per-class →D counts are metrics only: the encoding needs the
+        // flat →D, so the typed one is read only while recording.
+        if eo_obs::recording() {
+            eo_sym::count_dependence_classes(&ctx.effective_dependence());
+        }
+        let enc = PoEncoding::new(ctx.exec().trace(), ctx.effective_d());
         eo_obs::counter!("sat.clauses", enc.core_clause_count() as u64);
         let n = enc.n_events();
         let observed = ctx.exec().trace().observed_order();

@@ -21,21 +21,30 @@
 //! state inside a deadlocked branch witnesses nothing — feasible program
 //! executions perform *all* of E (condition F1).
 //!
-//! ## The hot-path layout
+//! ## The chart
 //!
-//! States live **once**, in a [`StateTable`] arena keyed by [`StateId`]
-//! (the old design stored every state twice: as a hash-map key *and* in
-//! its node). Three consequences shape the inner loops:
+//! The pass records the lattice it walks as a `Chart`, stored flat the
+//! way the witness queries' memo stores theirs. States live **once**, in a
+//! [`StateTable`] arena keyed by [`StateId`]. Every state's co-enabled
+//! list sits back to back in one edge arena, each edge with an aligned
+//! `u32` successor slot, and each state has one completable flag. Four
+//! consequences shape the inner loops:
 //!
 //! * successor lookups hash a state once (precomputed fingerprint) instead
 //!   of re-hashing full vectors per probe;
-//! * each node's *executed* set is threaded incrementally along graph
+//! * each state's *executed* set is threaded incrementally along chart
 //!   edges into a flat [`BitMatrix`] — a successor's row is its parent's
 //!   row plus exactly one bit, so the accumulation pass never queries the
 //!   machine per event;
 //! * the overlap check "fire `p1` then `p2`, land completable?" is two
-//!   successor-table indexings (`Node::succs` is aligned with
-//!   `Node::enabled`) instead of clone + 2×step + hash lookup.
+//!   successor-slot reads instead of clone + 2×step + hash lookup;
+//! * states are expanded breadth-first, so ids rise with the executed
+//!   count and every successor has a larger id than its parent:
+//!   completability propagates in one reverse-id sweep, without a sort.
+//!
+//! A complete chart is also where the enumeration of F(P) reads its
+//! successors ([`crate::enumerate`]): a walk over the chart visits the
+//! same children in the same order as one that steps the machine.
 //!
 //! [`explore_statespace_baseline`] preserves the pre-interning
 //! implementation verbatim as the ablation baseline and differential-test
@@ -48,6 +57,8 @@ use crate::statetable::{StateId, StateTable};
 use eo_model::{EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashMap;
 use eo_relations::{BitMatrix, BitSet, Relation};
+use std::mem::size_of;
+use std::ops::Range;
 
 /// Everything one pass over the cut lattice proves.
 #[derive(Clone, Debug)]
@@ -66,81 +77,156 @@ pub struct StateSpaceResult {
     /// executable).
     pub deadlock_reachable: bool,
     /// Approximate heap bytes the exploration's state storage held at its
-    /// peak (arena + executed rows + successor tables). Not part of the
-    /// semantic result — equality checks between explorers compare the
-    /// relations and counts, not this.
+    /// peak (arena + executed rows + chart). Not part of the semantic
+    /// result — equality checks between explorers compare the relations
+    /// and counts, not this.
     pub approx_heap_bytes: usize,
 }
 
-/// Per-state graph record. `succs[k]` is the state reached by firing
-/// `enabled[k]` — the alignment every successor-table walk relies on.
-struct Node {
-    enabled: Vec<(ProcessId, EventId)>,
-    succs: Vec<u32>,
-    completable: bool,
+/// A successor slot of an edge whose state the pass never expanded.
+const UNSET: u32 = u32::MAX;
+
+/// An edge-arena offset as a `u32`.
+fn offset(k: usize) -> u32 {
+    u32::try_from(k).expect("edge arena outgrew u32 offsets")
 }
 
-/// The fully-built cut-lattice graph: interned states, per-state nodes
-/// (indexed identically to the arena), and the executed-set matrix with
-/// one row per state.
-pub(crate) struct StateGraph {
+/// The charted cut lattice: interned states, their co-enabled lists in
+/// one flat edge arena with aligned successor slots, a completable flag
+/// per state, and the executed-set matrix with one row per state. Ids
+/// index every per-state array alike.
+pub(crate) struct Chart {
     table: StateTable,
-    nodes: Vec<Node>,
+    /// `edges[start[id]..start[id + 1]]` is state `id`'s co-enabled list,
+    /// sorted by process id; one entry per charted state, plus the end.
+    start: Vec<u32>,
+    /// Every charted co-enabled list, back to back.
+    edges: Vec<(ProcessId, EventId)>,
+    /// `succ[k]` = the state edge `k` leads to, or [`UNSET`] until its
+    /// state is expanded. A state's slots fill in edge order.
+    succ: Vec<u32>,
+    /// Whether a complete state is reachable through recorded edges;
+    /// decided by [`finalize`].
+    completable: Vec<bool>,
     executed: BitMatrix,
 }
 
-impl StateGraph {
+impl Chart {
+    /// A chart holding only the initial state of `ctx`.
+    fn seeded(ctx: &SearchCtx<'_>, enabled: &mut Vec<(ProcessId, EventId)>) -> Self {
+        let mut table = StateTable::new();
+        let (root, fresh) = table.intern(ctx.initial_state());
+        debug_assert!(fresh && root.index() == 0);
+        let mut executed = BitMatrix::new(ctx.n_events());
+        executed.push_empty_row();
+        let mut chart = Chart {
+            table,
+            start: vec![0],
+            edges: Vec::new(),
+            succ: Vec::new(),
+            completable: Vec::new(),
+            executed,
+        };
+        chart.chart_state(ctx, root, enabled);
+        chart
+    }
+
+    /// Appends the co-enabled list of the freshly interned `id`, with
+    /// unset successor slots. `enabled` is scratch.
+    fn chart_state(
+        &mut self,
+        ctx: &SearchCtx<'_>,
+        id: StateId,
+        enabled: &mut Vec<(ProcessId, EventId)>,
+    ) {
+        debug_assert_eq!(id.index(), self.states());
+        ctx.co_enabled_into(self.table.get(id), enabled);
+        self.edges.extend_from_slice(enabled);
+        self.succ.resize(self.edges.len(), UNSET);
+        self.start.push(offset(self.edges.len()));
+        self.completable.push(false);
+    }
+
+    /// Number of charted states. When the state cap stops the pass, the
+    /// table holds one more: the state that tripped it, never charted.
+    #[inline]
+    pub(crate) fn states(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The interned state behind `id`.
+    #[inline]
+    pub(crate) fn state(&self, id: StateId) -> &MachState {
+        self.table.get(id)
+    }
+
+    /// `id`'s edges as a range of the edge arena.
+    #[inline]
+    fn edge_range(&self, id: usize) -> Range<usize> {
+        self.start[id] as usize..self.start[id + 1] as usize
+    }
+
+    /// The number of events co-enabled at `id`.
+    #[inline]
+    pub(crate) fn out_degree(&self, id: StateId) -> usize {
+        self.edge_range(id.index()).len()
+    }
+
+    /// The `k`-th event co-enabled at `id`.
+    #[inline]
+    pub(crate) fn event(&self, id: StateId, k: usize) -> EventId {
+        self.edges[self.start[id.index()] as usize + k].1
+    }
+
+    /// The state firing the `k`-th event co-enabled at `id` leads to.
+    /// `id` must be expanded.
+    #[inline]
+    pub(crate) fn successor(&self, id: StateId, k: usize) -> StateId {
+        let slot = self.succ[self.start[id.index()] as usize + k];
+        debug_assert_ne!(slot, UNSET, "walked an edge of an unexpanded state");
+        StateId::new(slot as usize)
+    }
+
+    /// Whether every successor slot of `id` is filled. Slots fill in edge
+    /// order, so the last one decides.
+    #[inline]
+    fn expanded(&self, id: usize) -> bool {
+        let r = self.edge_range(id);
+        r.is_empty() || self.succ[r.end - 1] != UNSET
+    }
+
+    /// Whether every charted state is expanded: the pass ran to the end.
+    pub(crate) fn is_complete(&self) -> bool {
+        !self.succ.contains(&UNSET)
+    }
+
+    /// Approximate heap bytes of the state storage (arena, executed rows
+    /// and the chart), from lengths alone: O(1).
+    fn approx_bytes(&self) -> usize {
+        self.table.approx_bytes()
+            + self.executed.word_bytes()
+            + self.start.len() * size_of::<u32>()
+            + self.edges.len() * size_of::<(ProcessId, EventId)>()
+            + self.succ.len() * size_of::<u32>()
+            + self.completable.len() * size_of::<bool>()
+    }
+
     /// Emits the standard arena metrics for a finished (or truncated)
-    /// graph: states interned, fingerprint collisions, arena bytes, and
-    /// lattice depth. The O(states) depth scan only runs while a recording
-    /// is active, so uninstrumented runs never pay for it.
+    /// chart: states charted, fingerprint collisions, arena bytes, and
+    /// lattice depth — the last state's level, since ids rise with it.
     fn emit_metrics(&self) {
         if !eo_obs::recording() {
             return;
         }
-        eo_obs::counter!("engine.states_interned", self.nodes.len() as u64);
+        let states = self.states();
+        eo_obs::counter!("engine.states_interned", states as u64);
         eo_obs::counter!("engine.fp_collisions", self.table.collisions());
         eo_obs::gauge!("engine.arena_bytes", self.approx_bytes() as i64);
-        let levels = (0..self.nodes.len())
-            .map(|i| self.table.get(StateId::new(i)).executed_count())
-            .max()
-            .map_or(0, |d| d + 1);
-        eo_obs::gauge!("engine.bfs_levels", levels as i64);
-    }
-
-    /// A graph seeded with the initial state of `ctx`.
-    fn seeded(ctx: &SearchCtx<'_>) -> Self {
-        let init = ctx.initial_state();
-        let mut table = StateTable::new();
-        let enabled = ctx.co_enabled(&init);
-        let (root, fresh) = table.intern(init);
-        debug_assert!(fresh && root.index() == 0);
-        let mut executed = BitMatrix::new(ctx.n_events());
-        executed.push_empty_row();
-        StateGraph {
-            table,
-            nodes: vec![Node {
-                enabled,
-                succs: Vec::new(),
-                completable: false,
-            }],
-            executed,
-        }
-    }
-
-    /// Approximate heap bytes of the state storage (arena, executed rows,
-    /// enabled/successor tables).
-    fn approx_bytes(&self) -> usize {
-        let node_payload: usize = self
-            .nodes
-            .iter()
-            .map(|n| {
-                n.enabled.len() * std::mem::size_of::<(ProcessId, EventId)>()
-                    + n.succs.len() * std::mem::size_of::<u32>()
-                    + std::mem::size_of::<Node>()
-            })
-            .sum();
-        self.table.approx_bytes() + self.executed.word_bytes() + node_payload
+        let last = StateId::new(states - 1);
+        eo_obs::gauge!(
+            "engine.bfs_levels",
+            self.table.get(last).executed_count() as i64 + 1
+        );
     }
 }
 
@@ -158,165 +244,142 @@ pub fn explore_statespace(
 
 /// Budgeted variant of [`explore_statespace`]: every [`Budget`] resource
 /// is honored at per-expansion granularity. All-or-nothing — for the
-/// partial graph a degraded analysis salvages, see
-/// `build_graph_budgeted`.
+/// partial chart a degraded analysis salvages, see `chart_budgeted`.
 pub fn explore_statespace_budgeted(
     ctx: &SearchCtx<'_>,
     budget: &Budget,
 ) -> Result<StateSpaceResult, EngineError> {
-    let b = build_graph_budgeted(ctx, budget);
+    let b = chart_budgeted(ctx, budget);
     match b.stopped {
         Some(e) => Err(e),
         None => {
-            let mut graph = b.graph;
-            Ok(finalize(ctx, &mut graph, true))
+            let mut chart = b.chart;
+            Ok(finalize(ctx, &mut chart))
         }
     }
 }
 
-/// A possibly-truncated exploration: the graph built so far plus the
+/// A possibly-truncated exploration: the chart built so far plus the
 /// budget error that stopped it (`None` = ran to completion).
 ///
-/// The truncated graph is *consistent*: every node's `enabled` list is
-/// filled when the node is pushed, and `succs` is either complete or a
-/// prefix of `enabled`'s alignment (frontier nodes have no successors
-/// recorded yet). [`finalize`] turns it into sound
-/// under-approximations.
+/// The truncated chart is *consistent*: every state's co-enabled list is
+/// charted when the state is interned, and its successor slots are
+/// either all filled or an unfilled suffix (frontier states have none
+/// filled yet). [`finalize`] turns it into sound under-approximations.
 pub(crate) struct PartialExploration {
-    pub(crate) graph: StateGraph,
+    pub(crate) chart: Chart,
     pub(crate) stopped: Option<EngineError>,
 }
 
-/// Expands every reachable state exactly once into a [`StateGraph`],
-/// checking the deadline / memory / cancel budget once per expanded node
-/// and the state cap per fresh state. On exhaustion the graph built so
-/// far is returned alongside the error instead of being discarded.
-pub(crate) fn build_graph_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> PartialExploration {
+/// Expands every reachable state exactly once, breadth-first, into a
+/// [`Chart`], checking the deadline / memory / cancel budget once per
+/// expanded state and the state cap per fresh state. On exhaustion the
+/// chart built so far is returned alongside the error instead of being
+/// discarded.
+pub(crate) fn chart_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> PartialExploration {
     eo_obs::span!("engine.build_graph");
-    let mut graph = StateGraph::seeded(ctx);
+    let mut enabled = Vec::new();
+    let mut chart = Chart::seeded(ctx, &mut enabled);
     // One scratch state walks every lattice edge: `clone_from` reuses its
     // buffers and `intern_ref` clones only on a fresh insert, so the
     // expansion loop allocates per *state*, never per edge.
     let mut scratch = ctx.initial_state();
-    // O(1) running storage estimate (`approx_bytes` is O(nodes), far too
-    // slow for a per-checkpoint call): arena payload per state plus the
-    // executed-row stride, node overhead, and per-edge bookkeeping.
-    let state_bytes = std::mem::size_of::<eo_model::MachState>()
-        + scratch.heap_bytes()
-        + ctx.n_events().div_ceil(64) * 8
-        + std::mem::size_of::<Node>();
-    let edge_bytes = std::mem::size_of::<u32>() + std::mem::size_of::<(ProcessId, EventId)>();
-    let mut est_bytes = state_bytes + graph.nodes[0].enabled.len() * edge_bytes;
     let mut stopped = None;
     let mut cursor = 0;
-    'expand: while cursor < graph.nodes.len() {
-        if let Err(e) = budget.check(est_bytes) {
+    'expand: while cursor < chart.states() {
+        if let Err(e) = budget.check(chart.approx_bytes()) {
             stopped = Some(e);
             break;
         }
-        let parent_fp = graph.table.fingerprint(StateId::new(cursor));
-        for k in 0..graph.nodes[cursor].enabled.len() {
-            let (p, e) = graph.nodes[cursor].enabled[k];
-            scratch.clone_from(graph.table.get(StateId::new(cursor)));
+        let parent = StateId::new(cursor);
+        let parent_fp = chart.table.fingerprint(parent);
+        for k in chart.edge_range(cursor) {
+            let (p, e) = chart.edges[k];
+            scratch.clone_from(chart.table.get(parent));
             let mut fp = parent_fp;
             ctx.apply_keyed(&mut scratch, p, e, &mut fp);
-            let (id, fresh) = graph.table.intern_ref_keyed(&scratch, fp);
+            let (id, fresh) = chart.table.intern_ref_keyed(&scratch, fp);
             if fresh {
-                if let Err(err) = budget.check_states(graph.nodes.len() + 1) {
+                if let Err(err) = budget.check_states(chart.states() + 1) {
                     stopped = Some(err);
                     break 'expand;
                 }
-                debug_assert_eq!(id.index(), graph.nodes.len());
-                let enabled = ctx.co_enabled(graph.table.get(id));
-                est_bytes += state_bytes + enabled.len() * edge_bytes;
-                graph.nodes.push(Node {
-                    enabled,
-                    succs: Vec::new(),
-                    completable: false,
-                });
+                chart.chart_state(ctx, id, &mut enabled);
                 // The successor executed exactly one more event than its
                 // parent: inherit the row, add one bit.
-                let row = graph.executed.push_row_copy(cursor);
+                let row = chart.executed.push_row_copy(cursor);
                 debug_assert_eq!(row, id.index());
-                graph.executed.set(row, e.index());
+                chart.executed.set(row, e.index());
             }
-            graph.nodes[cursor].succs.push(id.index() as u32);
+            chart.succ[k] = id.index() as u32;
         }
         cursor += 1;
     }
-    graph.emit_metrics();
-    PartialExploration { graph, stopped }
+    chart.emit_metrics();
+    PartialExploration { chart, stopped }
 }
 
 /// Completability back-propagation plus pairwise-fact accumulation over an
-/// already-built state graph. `complete_graph` says whether every
-/// reachable state was expanded. A budget-truncated graph
-/// (`complete_graph = false`) yields a **sound under-approximation** of
-/// the full answer:
+/// already-built chart. On a budget-truncated chart (one that is not
+/// [complete](Chart::is_complete)) the result is a **sound
+/// under-approximation** of the full answer:
 ///
-/// * a node is marked completable only when an explored complete state is
-///   reachable through *recorded* edges, so every `chb`/`overlap` bit set
-///   here is witnessed by a genuinely feasible complete execution and
+/// * a state is marked completable only when an explored complete state
+///   is reachable through *recorded* edges, so every `chb`/`overlap` bit
+///   set here is witnessed by a genuinely feasible complete execution and
 ///   holds in the full result too;
 /// * missing states / missing edges can only *withhold* facts, never
-///   invent them (the alignment guard in [`pair_fires_completably`] keeps
-///   partially-expanded nodes out of the overlap walks);
-/// * `deadlock_reachable = true` is still definite — `enabled` lists are
-///   computed when nodes are pushed, so an incomplete empty-enabled node
+///   invent them (the expansion guard in [`pair_fires_completably`] keeps
+///   partially-expanded states out of the overlap walks);
+/// * `deadlock_reachable = true` is still definite — co-enabled lists are
+///   charted when states are interned, so an incomplete state with none
 ///   is a real deadlock — but `false` now means "not proved".
-pub(crate) fn finalize(
-    ctx: &SearchCtx<'_>,
-    graph: &mut StateGraph,
-    complete_graph: bool,
-) -> StateSpaceResult {
+pub(crate) fn finalize(ctx: &SearchCtx<'_>, chart: &mut Chart) -> StateSpaceResult {
     eo_obs::span!("engine.finalize");
-    let deadlock_reachable = propagate_completability(ctx, graph, complete_graph);
-    let (chb, overlap, completable_states) = accumulate(ctx, graph);
+    let deadlock_reachable = propagate_completability(ctx, chart);
+    let (chb, overlap, completable_states) = accumulate(ctx, chart);
     StateSpaceResult {
         chb,
         overlap,
-        states: graph.nodes.len(),
+        states: chart.states(),
         completable_states,
         deadlock_reachable,
-        approx_heap_bytes: graph.approx_bytes(),
+        approx_heap_bytes: chart.approx_bytes(),
     }
 }
 
-/// Marks every node from which a complete schedule is reachable; returns
+/// Marks every state from which a complete schedule is reachable; returns
 /// whether any reachable state is a deadlock.
 ///
-/// The state DAG is layered by executed count, so processing nodes in
-/// decreasing layer order sees successors first.
-/// `complete_graph` says whether every reachable state was expanded; a
-/// truncated graph legitimately under-approximates completability (and
+/// Breadth-first ids rise with the executed count, and every edge adds
+/// one executed event, so each successor has a larger id than its
+/// parent: one sweep in decreasing id order sees successors first. A
+/// truncated chart legitimately under-approximates completability (and
 /// may even fail to reach any complete state), so the root invariant is
-/// asserted only for full graphs.
-fn propagate_completability(
-    ctx: &SearchCtx<'_>,
-    graph: &mut StateGraph,
-    complete_graph: bool,
-) -> bool {
-    let mut order: Vec<usize> = (0..graph.nodes.len()).collect();
-    order.sort_unstable_by_key(|&i| {
-        std::cmp::Reverse(graph.table.get(StateId::new(i)).executed_count())
-    });
+/// asserted only for complete charts.
+fn propagate_completability(ctx: &SearchCtx<'_>, chart: &mut Chart) -> bool {
     let mut deadlock_reachable = false;
-    for i in order {
-        let node = &graph.nodes[i];
-        let completable = if ctx.is_complete(graph.table.get(StateId::new(i))) {
+    for i in (0..chart.states()).rev() {
+        let st = chart.table.get(StateId::new(i));
+        debug_assert!(
+            i == 0 || chart.table.get(StateId::new(i - 1)).executed_count() <= st.executed_count(),
+            "breadth-first ids are level-monotone"
+        );
+        let edges = chart.edge_range(i);
+        let completable = if ctx.is_complete(st) {
             true
         } else {
-            if node.enabled.is_empty() {
+            if edges.is_empty() {
                 deadlock_reachable = true;
             }
-            node.succs
+            chart.succ[edges]
                 .iter()
-                .any(|&s| graph.nodes[s as usize].completable)
+                .any(|&s| s != UNSET && chart.completable[s as usize])
         };
-        graph.nodes[i].completable = completable;
+        chart.completable[i] = completable;
     }
     debug_assert!(
-        !complete_graph || graph.nodes[0].completable,
+        !chart.is_complete() || chart.completable[0],
         "the observed execution is itself feasible, so the initial state must be completable"
     );
     deadlock_reachable
@@ -324,24 +387,23 @@ fn propagate_completability(
 
 /// Accumulates the pairwise facts (`chb`, `overlap`) over every
 /// completable state, returning them with the completable-state count.
-fn accumulate(ctx: &SearchCtx<'_>, graph: &StateGraph) -> (Relation, Relation, usize) {
+fn accumulate(ctx: &SearchCtx<'_>, chart: &Chart) -> (Relation, Relation, usize) {
     let n = ctx.n_events();
-    let nodes = &graph.nodes;
     let mut chb = Relation::new(n);
     let mut overlap = Relation::new(n);
     let mut completable_states = 0;
     let mut executed = BitSet::new(n);
     let mut pending = BitSet::new(n);
-    for (i, node) in nodes.iter().enumerate() {
-        if !node.completable {
+    for i in 0..chart.states() {
+        if !chart.completable[i] {
             continue;
         }
         completable_states += 1;
 
         // a executed, b pending ⇒ chb(a, b). The executed set was threaded
-        // along the graph edges at build time — two scratch-row loads here,
-        // no per-event machine queries.
-        graph.executed.load_row(i, &mut executed);
+        // along the chart edges at build time — two scratch-row loads
+        // here, no per-event machine queries.
+        chart.executed.load_row(i, &mut executed);
         pending.set_all();
         pending.difference_with(&executed);
         for a in executed.iter() {
@@ -350,16 +412,16 @@ fn accumulate(ctx: &SearchCtx<'_>, graph: &StateGraph) -> (Relation, Relation, u
 
         // Simultaneously enabled pairs that can both fire and stay
         // completable ⇒ overlap.
-        let enabled = &node.enabled;
-        for x in 0..enabled.len() {
-            for y in (x + 1)..enabled.len() {
-                let (p1, e1) = enabled[x];
-                let (p2, e2) = enabled[y];
+        let edges = chart.edge_range(i);
+        for x in edges.clone() {
+            for y in (x + 1)..edges.end {
+                let (p1, e1) = chart.edges[x];
+                let (p2, e2) = chart.edges[y];
                 if overlap.contains(e1.index(), e2.index()) {
                     continue;
                 }
-                if pair_fires_completably(nodes, i, x, p2)
-                    || pair_fires_completably(nodes, i, y, p1)
+                if pair_fires_completably(chart, i, x, p2)
+                    || pair_fires_completably(chart, i, y, p1)
                 {
                     overlap.insert(e1.index(), e2.index());
                     overlap.insert(e2.index(), e1.index());
@@ -370,26 +432,30 @@ fn accumulate(ctx: &SearchCtx<'_>, graph: &StateGraph) -> (Relation, Relation, u
     (chb, overlap, completable_states)
 }
 
-/// From node `i`, can the pair fire back-to-back — first the event at
-/// position `first_idx` of `i`'s enabled list, then `second`'s next event
-/// — and leave a completable state? Pure successor-table walks: firing
-/// `enabled[first_idx]` lands on `succs[first_idx]`; `second` still being
-/// enabled there is a scan of that node's enabled list; the final state is
-/// one more aligned indexing. No cloning, stepping, or hashing.
+/// From state `i`, can the pair fire back-to-back — first the event of
+/// edge `first` (one of `i`'s), then `second`'s next event — and leave a
+/// completable state? Pure successor-slot reads: firing edge `first`
+/// lands on `succ[first]`; `second` still being enabled there is a scan
+/// of that state's edges; the final state is one more slot read. No
+/// cloning, stepping, or hashing.
 #[inline]
-fn pair_fires_completably(nodes: &[Node], i: usize, first_idx: usize, second: ProcessId) -> bool {
-    // On a budget-truncated graph a node's successor list may be missing
-    // or shorter than its enabled list (frontier / interrupted nodes);
-    // such nodes witness nothing. Full graphs always pass both guards.
-    if nodes[i].succs.len() != nodes[i].enabled.len() {
+fn pair_fires_completably(chart: &Chart, i: usize, first: usize, second: ProcessId) -> bool {
+    // On a budget-truncated chart a state's successor slots may be unset
+    // (frontier / interrupted states); such states witness nothing.
+    // Complete charts always pass both guards.
+    if !chart.expanded(i) {
         return false;
     }
-    let mid = &nodes[nodes[i].succs[first_idx] as usize];
-    if mid.succs.len() != mid.enabled.len() {
+    let mid = chart.succ[first] as usize;
+    if !chart.expanded(mid) {
         return false;
     }
-    match mid.enabled.iter().position(|&(p, _)| p == second) {
-        Some(k) => nodes[mid.succs[k] as usize].completable,
+    let edges = chart.edge_range(mid);
+    match chart.edges[edges.clone()]
+        .iter()
+        .position(|&(p, _)| p == second)
+    {
+        Some(k) => chart.completable[chart.succ[edges.start + k] as usize],
         None => false,
     }
 }

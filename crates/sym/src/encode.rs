@@ -394,29 +394,12 @@ impl PoEncoding {
     /// Builds the encoding from a **typed** dependence input
     /// ([`eo_model::Dependence`]): the →D unit facts asserted are the
     /// per-class relations' fold, and per-class fact counts are published
-    /// through `eo_obs` (`sym.dep.co` / `.wr` / `.fr` / `.unclassified`;
-    /// a pair in several classes is attributed to the first of co, wr,
-    /// fr). The emitted CNF is **bit-identical** to
-    /// [`PoEncoding::new`] over `dep.flat()` — the classes refine the
-    /// input, never the theory — which the encoding tests pin.
+    /// by [`count_dependence_classes`]. The emitted CNF is
+    /// **bit-identical** to [`PoEncoding::new`] over `dep.flat()` — the
+    /// classes refine the input, never the theory — which the encoding
+    /// tests pin.
     pub fn with_dependence(trace: &Trace, dep: &eo_model::Dependence) -> PoEncoding {
-        let (mut co, mut wr, mut fr, mut other) = (0u64, 0u64, 0u64, 0u64);
-        for (a, b) in dep.flat().pairs() {
-            if dep.co.contains(a, b) {
-                co += 1;
-            } else if dep.wr.contains(a, b) {
-                wr += 1;
-            } else if dep.fr.contains(a, b) {
-                fr += 1;
-            } else {
-                // From-flat compatibility inputs carry no classes.
-                other += 1;
-            }
-        }
-        eo_obs::counter!("sym.dep.co", co);
-        eo_obs::counter!("sym.dep.wr", wr);
-        eo_obs::counter!("sym.dep.fr", fr);
-        eo_obs::counter!("sym.dep.unclassified", other);
+        count_dependence_classes(dep);
         PoEncoding::new(trace, dep.flat())
     }
 
@@ -597,6 +580,31 @@ impl PoEncoding {
         });
         order.into_iter().map(EventId::new).collect()
     }
+}
+
+/// Publishes the per-class →D fact counts of `dep` through `eo_obs`
+/// (`sym.dep.co` / `.wr` / `.fr` / `.unclassified`; a pair in several
+/// classes is attributed to the first of co, wr, fr). Callers that encode
+/// from the flat →D call this only while a recording is active, so the
+/// count costs nothing otherwise.
+pub fn count_dependence_classes(dep: &eo_model::Dependence) {
+    let (mut co, mut wr, mut fr, mut other) = (0u64, 0u64, 0u64, 0u64);
+    for (a, b) in dep.flat().pairs() {
+        if dep.co.contains(a, b) {
+            co += 1;
+        } else if dep.wr.contains(a, b) {
+            wr += 1;
+        } else if dep.fr.contains(a, b) {
+            fr += 1;
+        } else {
+            // From-flat compatibility inputs carry no classes.
+            other += 1;
+        }
+    }
+    eo_obs::counter!("sym.dep.co", co);
+    eo_obs::counter!("sym.dep.wr", wr);
+    eo_obs::counter!("sym.dep.fr", fr);
+    eo_obs::counter!("sym.dep.unclassified", other);
 }
 
 /// The pair literal for "a before b" over `n` events (sign convention:

@@ -22,4 +22,4 @@
 
 pub mod encode;
 
-pub use encode::{PoEncoding, SymOutcome};
+pub use encode::{count_dependence_classes, PoEncoding, SymOutcome};

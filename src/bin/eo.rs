@@ -262,10 +262,10 @@ fn error_json(e: &EngineError) -> String {
     }
 }
 
-/// Standard output for `eo analyze`'s report. A closed pipe (`eo analyze
-/// … | head -1`) ends the report quietly instead of panicking, so the
-/// command still exits with the analysis's own code; any other write
-/// error panics, as `println!` does.
+/// Standard output for every `eo` subcommand's report. A closed pipe
+/// (`eo analyze … | head -1`) ends the report quietly instead of
+/// panicking, so the command still exits with its own code; any other
+/// write error panics, as `println!` does.
 struct ReportOut {
     stdout: std::io::Stdout,
     closed: bool,
@@ -619,6 +619,7 @@ fn static_event_orderings(exec: &ProgramExecution) -> eo_relations::Relation {
 fn serve(args: &[String]) -> ExitCode {
     use eo_serve::{serve_batch, ServeConfig, SessionConfig};
 
+    let mut out = ReportOut::new();
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("serve: missing trace path");
         return ExitCode::FAILURE;
@@ -693,7 +694,7 @@ fn serve(args: &[String]) -> ExitCode {
     obs.begin();
     let outcome = serve_batch(&exec, &input, &config);
     for response in &outcome.responses {
-        println!("{response}");
+        outln!(out, "{response}");
     }
     obs.flush();
     if outcome.any_degraded || outcome.any_error {
@@ -704,6 +705,7 @@ fn serve(args: &[String]) -> ExitCode {
 }
 
 fn races(args: &[String]) -> ExitCode {
+    let mut out = ReportOut::new();
     let Some(path) = args.first() else {
         eprintln!("races: missing trace path");
         return ExitCode::FAILURE;
@@ -716,11 +718,12 @@ fn races(args: &[String]) -> ExitCode {
         }
     };
     let cmp = eo_race::compare(&exec);
-    println!("conflicting pairs: {}", cmp.candidates);
-    let show = |title: &str, races: &[eo_race::Race]| {
-        println!("{title} ({}):", races.len());
+    outln!(out, "conflicting pairs: {}", cmp.candidates);
+    let mut show = |title: &str, races: &[eo_race::Race]| {
+        outln!(out, "{title} ({}):", races.len());
         for r in races {
-            println!(
+            outln!(
+                out,
                 "  {} / {}",
                 render::event_name(&exec, r.first),
                 render::event_name(&exec, r.second)
@@ -734,6 +737,7 @@ fn races(args: &[String]) -> ExitCode {
 }
 
 fn sat(args: &[String]) -> ExitCode {
+    let mut out = ReportOut::new();
     if args.len() < 3 {
         eprintln!("sat: need <n_vars> <n_clauses> <seed>");
         return ExitCode::FAILURE;
@@ -748,7 +752,7 @@ fn sat(args: &[String]) -> ExitCode {
     };
     let use_events = args.iter().any(|a| a == "--events");
     let f = Formula::random_3cnf(n, m, seed);
-    println!("B = {}", f.display());
+    outln!(out, "B = {}", f.display());
 
     let (sat_via_ordering, kind) = if use_events {
         let red = eo_reductions::EventReduction::build(&f);
@@ -761,13 +765,16 @@ fn sat(args: &[String]) -> ExitCode {
         )
     };
     let dpll = eo_sat::Solver::satisfiable(&f);
-    println!("{kind}: b CHB a = {sat_via_ordering}  →  sat = {sat_via_ordering}");
-    println!("DPLL:               sat = {dpll}");
+    outln!(
+        out,
+        "{kind}: b CHB a = {sat_via_ordering}  →  sat = {sat_via_ordering}"
+    );
+    outln!(out, "DPLL:               sat = {dpll}");
     if sat_via_ordering == dpll {
-        println!("consistent ✓");
+        outln!(out, "consistent ✓");
         ExitCode::SUCCESS
     } else {
-        println!("INCONSISTENT ✗ — this would falsify the reduction");
+        outln!(out, "INCONSISTENT ✗ — this would falsify the reduction");
         ExitCode::FAILURE
     }
 }
@@ -799,6 +806,7 @@ fn lint(args: &[String]) -> ExitCode {
     use eo_lint::{lint_program, lint_trace, LintOptions, LintReport, Severity};
     use eo_obs::json::Value;
 
+    let mut out = ReportOut::new();
     let json = args.iter().any(|a| a == "--json");
     let deny = match args.iter().position(|a| a == "--deny") {
         None => Severity::Error,
@@ -855,9 +863,9 @@ fn lint(args: &[String]) -> ExitCode {
             }
         };
         if json {
-            println!("{}", report.to_json().pretty());
+            outln!(out, "{}", report.to_json().pretty());
         } else {
-            print!("{}", report.render_text());
+            out!(out, "{}", report.render_text());
         }
         obs.flush();
         return if report.worst_at_least(deny) {
@@ -900,9 +908,9 @@ fn lint(args: &[String]) -> ExitCode {
             }
         };
         if json {
-            println!("{}", report.to_json().pretty());
+            outln!(out, "{}", report.to_json().pretty());
         } else {
-            print!("{}", report.render_text());
+            out!(out, "{}", report.render_text());
         }
         obs.flush();
         return if report.worst_at_least(deny) {
@@ -942,9 +950,9 @@ fn lint(args: &[String]) -> ExitCode {
         // Single-file output is the original (pinned) format.
         if let Some((_, report)) = reports.first() {
             if json {
-                println!("{}", report.to_json().pretty());
+                outln!(out, "{}", report.to_json().pretty());
             } else {
-                print!("{}", report.render_text());
+                out!(out, "{}", report.render_text());
             }
         }
     } else if json {
@@ -965,13 +973,14 @@ fn lint(args: &[String]) -> ExitCode {
             ("warnings".to_string(), Value::Int(count(Severity::Warning))),
             ("infos".to_string(), Value::Int(count(Severity::Info))),
         ]);
-        println!("{}", doc.pretty());
+        outln!(out, "{}", doc.pretty());
     } else {
         for (path, report) in &reports {
-            println!("== {path} ==");
-            print!("{}", report.render_text());
+            outln!(out, "== {path} ==");
+            out!(out, "{}", report.render_text());
         }
-        println!(
+        outln!(
+            out,
             "{} file(s) linted: {} error(s), {} warning(s), {} info finding(s)",
             reports.len(),
             reports
@@ -999,6 +1008,7 @@ fn lint(args: &[String]) -> ExitCode {
 fn mhp(args: &[String]) -> ExitCode {
     use eo_obs::json::Value;
 
+    let mut out = ReportOut::new();
     let json = args.iter().any(|a| a == "--json");
     let obs = match str_flag(args, "--metrics-out") {
         Ok(metrics_out) => ObsOut {
@@ -1111,40 +1121,45 @@ fn mhp(args: &[String]) -> ExitCode {
                 ),
             ),
         ]);
-        println!("{}", doc.pretty());
+        outln!(out, "{}", doc.pretty());
     } else {
-        println!(
+        outln!(
+            out,
             "statements: {n} (fixpoint converged in {} rounds)",
             analysis.rounds()
         );
-        println!(
+        outln!(
+            out,
             "pair verdicts: {never} never-concurrent, {may} may-be-concurrent, \
              {unreachable_pairs} unreachable"
         );
         if !unreachable.is_empty() {
-            println!("unreachable statements:");
+            outln!(out, "unreachable statements:");
             for s in &unreachable {
-                println!("  {}", loc(*s));
+                outln!(out, "  {}", loc(*s));
             }
         }
-        println!(
+        outln!(
+            out,
             "may-happen-in-parallel conflicting accesses ({}):",
             races.len()
         );
         for r in &races {
-            println!("  {} || {}", loc(r.first), loc(r.second));
+            outln!(out, "  {} || {}", loc(r.first), loc(r.second));
         }
     }
     ExitCode::SUCCESS
 }
 
 fn figure1() -> ExitCode {
+    let mut out = ReportOut::new();
     let (trace, ids) = eo_model::fixtures::figure1();
     let exec = trace.to_execution().unwrap();
-    print!("{}", render::render_trace(exec.trace()));
+    out!(out, "{}", render::render_trace(exec.trace()));
     let tg = eo_approx::TaskGraph::build(&exec);
     let exact = ExactEngine::new(&exec);
-    println!(
+    outln!(
+        out,
         "\nEGP orders the Posts: {}\nexact MHB orders the Posts: {}",
         tg.guaranteed_before(ids.post_left, ids.post_right),
         exact.mhb(ids.post_left, ids.post_right)

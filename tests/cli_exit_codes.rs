@@ -229,39 +229,83 @@ fn usage_errors_exit_one() {
     assert_eq!(eo(&["frobnicate"]).status.code(), Some(1));
 }
 
-#[test]
-fn a_closed_stdout_ends_the_report_quietly() {
-    // `eo analyze … | head -1`: the reader goes away mid-report. A
-    // one-process trace of 1,500 events prints about 85 KB, more than a
-    // pipe holds, so the writes after the read end closes fail with
-    // EPIPE however the two processes are scheduled.
-    let events: Vec<String> = (0..1500)
-        .map(|i| {
-            format!(
-                r#"{{"id":{i},"process":0,"op":"Compute","reads":[],"writes":[],"label":null}}"#
-            )
-        })
-        .collect();
-    let trace = tmp("long.trace.json");
-    std::fs::write(
-        &trace,
-        format!(
-            r#"{{"events":[{}],"processes":[{{"name":"main","created_by":null}}],"semaphores":[],"event_vars":[],"variables":[]}}"#,
-            events.join(",")
-        ),
-    )
-    .expect("writing the trace");
+/// Runs `eo` with its stdout read end closed at once and asserts it
+/// exits with `code` and no panic. Every caller's report is longer than a
+/// pipe holds (64 KiB), so the writes after the read end closes fail with
+/// EPIPE however the two processes are scheduled.
+fn assert_quiet_on_closed_stdout(args: &[&str], code: i32) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_eo"))
-        .arg("analyze")
-        .arg(&trace)
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawning eo");
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("waiting for eo");
-    std::fs::remove_file(&trace).ok();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "eo {args:?}: stderr: {stderr}"
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "eo {args:?}: stderr: {stderr}"
+    );
+}
+
+/// A trace JSON of `processes` unsynchronized root processes, each
+/// running `per_process` Compute events; with `write`, every event writes
+/// the one variable.
+fn computes_trace_json(processes: usize, per_process: usize, write: bool) -> String {
+    let writes = if write { "0" } else { "" };
+    let events: Vec<String> = (0..processes * per_process)
+        .map(|i| {
+            let (p, k) = (i / per_process, i % per_process);
+            format!(
+                r#"{{"id":{i},"process":{p},"op":"Compute","reads":[],"writes":[{writes}],"label":"p{p}-op{k}"}}"#
+            )
+        })
+        .collect();
+    let processes: Vec<String> = (0..processes)
+        .map(|p| format!(r#"{{"name":"p{p}","created_by":null}}"#))
+        .collect();
+    let variables = if write { r#"{"name":"x"}"# } else { "" };
+    format!(
+        r#"{{"events":[{}],"processes":[{}],"semaphores":[],"event_vars":[],"variables":[{variables}]}}"#,
+        events.join(","),
+        processes.join(",")
+    )
+}
+
+#[test]
+fn a_closed_stdout_ends_the_report_quietly() {
+    // `eo analyze … | head -1`: the reader goes away mid-report. A
+    // one-process trace of 1,500 events prints about 90 KB.
+    let trace = tmp("long.trace.json");
+    std::fs::write(&trace, computes_trace_json(1, 1500, false)).expect("writing the trace");
+    assert_quiet_on_closed_stdout(&["analyze", trace.to_str().unwrap()], 0);
+    std::fs::remove_file(&trace).ok();
+
+    // `eo serve --batch … | head -1`: 3,000 answers of about 100 bytes.
+    let batch = tmp("closed-stdout-batch.json");
+    let requests: Vec<String> = (0..3000)
+        .map(|i| {
+            let (a, b) = (i % 7, (i / 7 + 1 + i % 7) % 7);
+            let b = if a == b { (b + 1) % 7 } else { b };
+            let op = ["mhb", "chb", "ccw"][i % 3];
+            format!(r#"{{"id":{i},"op":"{op}","a":{a},"b":{b}}}"#)
+        })
+        .collect();
+    std::fs::write(&batch, format!("[{}]", requests.join(","))).expect("writing the batch");
+    assert_quiet_on_closed_stdout(&["serve", FIGURE1, "--batch", batch.to_str().unwrap()], 0);
+    std::fs::remove_file(&batch).ok();
+
+    // `eo races … | head -1`: two unsynchronized writers of 70 events each
+    // race on all 4,900 cross pairs, one report line of about 20 bytes per
+    // pair.
+    let trace = tmp("racy.trace.json");
+    std::fs::write(&trace, computes_trace_json(2, 70, true)).expect("writing the trace");
+    assert_quiet_on_closed_stdout(&["races", trace.to_str().unwrap()], 0);
+    std::fs::remove_file(&trace).ok();
 }
