@@ -1,8 +1,8 @@
-//! E12's state counts and E17's order counts as plain tests. Both are
-//! deterministic per workload, so they gate here exactly, with no timing
-//! in the way: the charted cut lattice of each E12 workload, and the
-//! |F(P)| that `ExactEngine::try_summary` enumerates over that chart under
-//! each equivalence strategy.
+//! E12's state counts and peak bytes and E17's order counts as plain
+//! tests. All are deterministic per workload, so they gate here with no
+//! timing in the way: the charted cut lattice of each E12 workload, its
+//! storage estimate, and the |F(P)| that `ExactEngine::try_summary`
+//! enumerates over that chart under each equivalence strategy.
 
 use eo_bench::e12_workloads;
 use eo_engine::{explore_statespace, EquivStrategy, ExactEngine, SearchCtx};
@@ -27,6 +27,30 @@ fn e12_workloads_chart_their_pinned_state_counts() {
     for ((label, exec, mode), (_, states)) in workloads.iter().zip(STATES) {
         let space = explore_statespace(&SearchCtx::new(exec, *mode), 1 << 24).unwrap();
         assert_eq!(space.states, states, "{label}: cut-lattice states");
+    }
+}
+
+/// E12's peak-bytes gate: the storage estimate of each workload's
+/// state-space pass stays within 15% of BENCH_engine.json's committed
+/// `interned_peak_bytes`, as `report -- check-regression` requires.
+#[test]
+fn e12_workloads_stay_within_their_committed_peak_bytes() {
+    const PEAK_BYTES: [(&str, usize); 6] = [
+        ("e6-5x4", 154_944),
+        ("e6-7x4", 668_864),
+        ("e6-8x5", 1_248_048),
+        ("e9-pitfall-6", 146_256),
+        ("e9-pitfall-9", 1_316_496),
+        ("e9-random-6x4", 995_504),
+    ];
+    for ((label, exec, mode), (pinned, committed)) in e12_workloads().iter().zip(PEAK_BYTES) {
+        assert_eq!(label, pinned, "the E12 workload set changed");
+        let space = explore_statespace(&SearchCtx::new(exec, *mode), 1 << 24).unwrap();
+        assert!(
+            space.approx_heap_bytes * 100 <= committed * 115,
+            "{label}: {} peak bytes, over 1.15 × the committed {committed}",
+            space.approx_heap_bytes
+        );
     }
 }
 

@@ -6,7 +6,7 @@ use crate::ctx::{FeasibilityMode, SearchCtx};
 use crate::degraded::DegradedSummary;
 use crate::enumerate::{enumerate_classes_budgeted_with, EnumerationResult};
 use crate::equiv::EquivStrategy;
-use crate::queries::QuerySession;
+use crate::queries::{QueryMemo, QuerySession};
 use crate::statespace;
 use crate::summary::OrderingSummary;
 use eo_model::{EventId, ProgramExecution};
@@ -176,14 +176,11 @@ impl<'a> ExactEngine<'a> {
     pub fn try_summary(&self) -> Result<OrderingSummary, EngineError> {
         eo_obs::span!("engine.try_summary");
         let budget = self.effective_budget();
-        let statespace::PartialExploration { mut chart, stopped } =
-            statespace::chart_budgeted(&self.ctx, &budget);
-        if let Some(e) = stopped {
-            return Err(e);
-        }
-        let space = statespace::finalize(&self.ctx, &mut chart);
+        let mut memo = QueryMemo::with_budget(&self.ctx, budget.clone());
+        statespace::chart(&self.ctx, &mut memo)?;
+        let space = statespace::finalize(&self.ctx, &mut memo);
         let (classes, stopped) =
-            enumerate_classes_budgeted_with(&self.ctx, Some(&chart), &budget, self.opts.equiv);
+            enumerate_classes_budgeted_with(&self.ctx, Some(&memo), &budget, self.opts.equiv);
         if let Some(e) = stopped {
             return Err(e);
         }
@@ -203,21 +200,21 @@ impl<'a> ExactEngine<'a> {
     pub fn analyze(&self) -> AnalysisOutcome {
         eo_obs::span!("engine.analyze");
         let budget = self.effective_budget();
-        let statespace::PartialExploration { mut chart, stopped } =
-            statespace::chart_budgeted(&self.ctx, &budget);
+        let mut memo = QueryMemo::with_budget(&self.ctx, budget.clone());
+        let stopped = statespace::chart(&self.ctx, &mut memo).err();
         let space_complete = stopped.is_none();
-        let space = statespace::finalize(&self.ctx, &mut chart);
+        let space = statespace::finalize(&self.ctx, &mut memo);
         // Enumeration still runs after a truncated space pass: its orders
         // are complete feasible executions in their own right, and every
-        // one sharpens the degraded facts. It walks the chart when the
-        // pass completed it. After a truncated pass it steps the machine
-        // instead, since extending the chart would intern states past the
-        // cap. The budget is already exhausted in the deadline/cancel
-        // cases, so the first checkpoint stops it immediately; cap-based
-        // cases keep their own caps.
+        // one sharpens the degraded facts. It walks the memo's chart when
+        // the pass completed it. After a truncated pass it steps the
+        // machine instead, since extending the chart would intern states
+        // past the cap. The budget is already exhausted in the
+        // deadline/cancel cases, so the first checkpoint stops it
+        // immediately; cap-based cases keep their own caps.
         let (classes, enum_stopped) = enumerate_classes_budgeted_with(
             &self.ctx,
-            space_complete.then_some(&chart),
+            space_complete.then_some(&memo),
             &budget,
             self.opts.equiv,
         );

@@ -42,12 +42,13 @@
 //!
 //! **Where successors come from.** The DFS is written once, generic over
 //! its successor source. [`ExactEngine::analyze`](crate::ExactEngine::analyze)
-//! and [`try_summary`](crate::ExactEngine::try_summary) pass the chart
-//! their state-space pass completed ([`crate::statespace`]): a step reads
-//! the child's state id from the parent's successor slot, and the
-//! canonical key comes from the interned state, so nothing is cloned,
-//! stepped or re-derived. Machine stepping remains only where no complete
-//! chart exists — the public `enumerate_classes*`, `feasible_set`,
+//! and [`try_summary`](crate::ExactEngine::try_summary) pass the
+//! [`QueryMemo`] their state-space pass charted to completion
+//! ([`crate::statespace`]): a step reads the child's state id from the
+//! parent's successor slot, and the canonical key comes from the interned
+//! state, so nothing is cloned, stepped or re-derived. Machine stepping
+//! remains only where no complete chart exists — the public
+//! `enumerate_classes*`, `feasible_set`,
 //! [`enumerate_naive`], and the enumeration after a budget-truncated
 //! space pass, which must not intern states past the state cap; there,
 //! machine states are pooled per depth. The chart lists co-enabled
@@ -67,7 +68,7 @@ use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
 use crate::equiv::{closed_insert, combine_key, EquivStrategy, ScanState, ScanUndo};
-use crate::statespace::Chart;
+use crate::queries::QueryMemo;
 use crate::statetable::StateId;
 use eo_model::{induce, EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashSet;
@@ -219,25 +220,17 @@ impl Successors for MachineSteps {
     }
 }
 
-/// Successors read from a complete [`Chart`] of the cut lattice: each
-/// depth holds a state id, a state's co-enabled events are its chart
+/// Successors read from a [`QueryMemo`] charted to completion: each
+/// depth holds a state id, a state's co-enabled events are its charted
 /// edges, and a child is the edge's successor slot. No state is cloned,
 /// stepped or hashed.
 struct ChartWalk<'g> {
-    chart: &'g Chart,
+    memo: &'g QueryMemo,
     /// `path[d]`: the state after the first `d` events of the current
     /// path.
     path: Vec<StateId>,
-}
-
-impl<'g> ChartWalk<'g> {
-    fn new(chart: &'g Chart, n: usize) -> Self {
-        debug_assert!(chart.is_complete(), "the chart walk needs every edge");
-        ChartWalk {
-            chart,
-            path: vec![StateId::new(0); n + 1],
-        }
-    }
+    /// `first[d]`: the index of `path[d]`'s first edge.
+    first: Vec<usize>,
 }
 
 impl Successors for ChartWalk<'_> {
@@ -246,23 +239,28 @@ impl Successors for ChartWalk<'_> {
     }
 
     fn expand(&mut self, _: &SearchCtx<'_>, depth: usize) -> usize {
-        self.chart.out_degree(self.path[depth])
+        let edges = self
+            .memo
+            .stepped_edges(self.path[depth])
+            .expect("the chart walk needs every edge stepped");
+        self.first[depth] = edges.start;
+        edges.len()
     }
 
     fn event(&self, depth: usize, k: usize) -> EventId {
-        self.chart.event(self.path[depth], k)
+        self.memo.edge(self.first[depth] + k).1
     }
 
     fn descend(&mut self, _: &SearchCtx<'_>, depth: usize, k: usize) {
-        self.path[depth + 1] = self.chart.successor(self.path[depth], k);
+        self.path[depth + 1] = self.memo.target(self.first[depth] + k);
     }
 
     fn state(&self, depth: usize) -> &MachState {
-        self.chart.state(self.path[depth])
+        self.memo.table().get(self.path[depth])
     }
 
     fn heap_bytes(&self) -> usize {
-        self.path.len() * size_of::<StateId>()
+        self.path.len() * (size_of::<StateId>() + size_of::<usize>())
     }
 }
 
@@ -587,11 +585,11 @@ fn run<S: Successors>(
     )
 }
 
-/// The pruned search under `strategy` with successors from `chart` when
-/// given, else from the machine.
+/// The pruned search under `strategy` with successors from `chart`, a
+/// memo charted to completion, when given, else from the machine.
 fn run_pruned(
     ctx: &SearchCtx<'_>,
-    chart: Option<&Chart>,
+    chart: Option<&QueryMemo>,
     max_schedules: usize,
     strategy: EquivStrategy,
     budget: Option<&Budget>,
@@ -601,13 +599,15 @@ fn run_pruned(
         prune: true,
     };
     match chart {
-        Some(chart) => run(
-            ctx,
-            ChartWalk::new(chart, ctx.n_events()),
-            max_schedules,
-            config,
-            budget,
-        ),
+        Some(memo) => {
+            let depths = ctx.n_events() + 1;
+            let walk = ChartWalk {
+                memo,
+                path: vec![StateId::new(0); depths],
+                first: vec![0; depths],
+            };
+            run(ctx, walk, max_schedules, config, budget)
+        }
         None => run(ctx, MachineSteps::new(ctx), max_schedules, config, budget),
     }
 }
@@ -646,12 +646,12 @@ pub fn enumerate_naive(ctx: &SearchCtx<'_>, max_schedules: usize) -> Enumeration
 /// Pruned enumeration under a supervisor [`Budget`] and an explicit
 /// [`EquivStrategy`]: the budget is checked once per DFS step, and the
 /// schedule cap comes from the budget itself. Successors come from
-/// `chart`, which must be complete, when one is given; without one the
-/// search steps the machine. The second component reports why the
+/// `chart`, a memo charted to completion, when one is given; without one
+/// the search steps the machine. The second component reports why the
 /// search stopped early, if it did.
 pub(crate) fn enumerate_classes_budgeted_with(
     ctx: &SearchCtx<'_>,
-    chart: Option<&Chart>,
+    chart: Option<&QueryMemo>,
     budget: &Budget,
     strategy: EquivStrategy,
 ) -> (EnumerationResult, Option<EngineError>) {
@@ -666,7 +666,7 @@ pub(crate) fn enumerate_classes_budgeted_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ctx::FeasibilityMode;
     use eo_model::fixtures;
@@ -886,7 +886,7 @@ mod tests {
     /// The E9 pairing pitfall: a writer's `V` observably paired with the
     /// reader's guarding `P`, plus `decoys` other `V`s that could have
     /// served it instead.
-    fn pitfall_exec(decoys: usize) -> eo_model::ProgramExecution {
+    pub(crate) fn pitfall_exec(decoys: usize) -> eo_model::ProgramExecution {
         let mut b = eo_lang::ProgramBuilder::new();
         let s = b.semaphore("s");
         let x = b.variable("x");
@@ -917,13 +917,16 @@ mod tests {
             FeasibilityMode::IgnoreDependences,
         ] {
             let ctx = SearchCtx::new(exec, mode);
-            let space = crate::statespace::chart_budgeted(&ctx, &Budget::unlimited());
-            assert!(space.stopped.is_none(), "{label}: the chart completes");
+            let mut memo = QueryMemo::new(&ctx);
+            assert!(
+                memo.chart_breadth_first(&ctx).is_ok(),
+                "{label}: the chart completes"
+            );
             for strategy in EquivStrategy::ALL {
                 for cap in [1, 2, 17, 1 << 16, 1 << 20] {
                     let at = format!("{label} {mode:?} {strategy} cap {cap}");
                     let (machine, _) = run_pruned(&ctx, None, cap, strategy, None);
-                    let (walk, _) = run_pruned(&ctx, Some(&space.chart), cap, strategy, None);
+                    let (walk, _) = run_pruned(&ctx, Some(&memo), cap, strategy, None);
                     assert_eq!(walk.orders, machine.orders, "{at}: orders");
                     assert_eq!(
                         walk.schedules_explored, machine.schedules_explored,

@@ -10,10 +10,10 @@
 //!
 //! ## Sessions and memos
 //!
-//! All state is held in a [`QueryMemo`]: states are interned into the
-//! same [`StateTable`] arena the explorers use, so the memo tables are
-//! indexed by dense [`StateId`]s instead of hashing full states per probe.
-//! Three memo lifetimes coexist:
+//! All state is held in a [`QueryMemo`], the engine's one store of the
+//! cut lattice: states are interned into a [`StateTable`] arena, so the
+//! memo tables are indexed by dense [`StateId`]s instead of hashing full
+//! states per probe. Three memo lifetimes coexist:
 //!
 //! * the **chart** is the part of the cut lattice searches have walked so
 //!   far. Each interned state's co-enabled list is computed once, into one
@@ -33,6 +33,13 @@
 //! * **visited** sets are per-query (a state pruned while hunting one pair
 //!   may matter for another), implemented as an epoch stamp per arena slot
 //!   so starting a query is O(1), not O(states).
+//!
+//! The whole-program summary ([`crate::statespace`]) fills the same memo
+//! the other way round: it charts a fresh memo breadth-first, every
+//! state and edge, then decides every state's completability in one
+//! reverse sweep. The enumeration of F(P) then walks that chart
+//! ([`crate::enumerate`]), and a witness query on it steps no edge and
+//! interns no state.
 //!
 //! The memos change the cost of a query, never its outcome: every answer
 //! and witness schedule, and the sequence in which states are interned,
@@ -66,6 +73,7 @@ use crate::engine::EngineError;
 use crate::statetable::{StateId, StateTable};
 use eo_model::{EventId, MachState, ProcessId};
 use std::mem::size_of;
+use std::ops::Range;
 
 /// What the memo knows about reaching completion from a state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,6 +232,140 @@ impl QueryMemo {
             + self.slots.len() * size_of::<Slot>()
             + self.edges.len() * size_of::<(ProcessId, EventId)>()
             + self.succ.len() * size_of::<u32>()
+    }
+
+    /// The running storage estimate the memory budget is checked against.
+    #[inline]
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The interned states.
+    #[inline]
+    pub(crate) fn table(&self) -> &StateTable {
+        &self.table
+    }
+
+    /// The states a [breadth-first chart](Self::chart_breadth_first)
+    /// holds: every interned state but the one that tripped the state
+    /// cap, which alone is never charted.
+    pub(crate) fn charted_states(&self) -> usize {
+        let n = self.table.len();
+        n - usize::from(self.slots[n - 1].start == UNSET)
+    }
+
+    /// The `(process, event)` pair edge `k` fires.
+    #[inline]
+    pub(crate) fn edge(&self, k: usize) -> (ProcessId, EventId) {
+        self.edges[k]
+    }
+
+    /// The state edge `k` leads to. Some walk must have stepped it.
+    #[inline]
+    pub(crate) fn target(&self, k: usize) -> StateId {
+        debug_assert_ne!(self.succ[k], UNSET, "edge {k} was never stepped");
+        StateId::new(self.succ[k] as usize)
+    }
+
+    /// `id`'s charted co-enabled list, sorted by process id, as a range
+    /// of edge indices — if some walk has stepped every one of its edges.
+    /// Slots fill in edge order, so the last one decides.
+    #[inline]
+    pub(crate) fn stepped_edges(&self, id: StateId) -> Option<Range<usize>> {
+        let Slot { start, end, .. } = self.slots[id.index()];
+        let stepped = start != UNSET && (start == end || self.succ[end as usize - 1] != UNSET);
+        stepped.then_some(start as usize..end as usize)
+    }
+
+    /// Whether the memo knows a complete schedule to be reachable from
+    /// `id`: it is complete, or live.
+    #[inline]
+    pub(crate) fn completable(&self, ctx: &SearchCtx<'_>, id: StateId) -> bool {
+        self.slots[id.index()].reach == Reach::Live || ctx.is_complete(self.table.get(id))
+    }
+
+    /// Charts the lattice breadth-first from the root of a fresh memo,
+    /// so ids rise with the executed count. Each state's co-enabled list
+    /// is charted when the state is interned. The budget is checked as
+    /// the summary pass always has: deadline, memory and cancellation once
+    /// per expanded state, the state cap once per fresh state. A state
+    /// past the cap stays interned but unlinked, so the memo charts
+    /// exactly the states the cap admits. Errors at the first exhausted
+    /// resource, leaving the chart consistent: every admitted state is
+    /// charted, and its successor slots are all filled or an unfilled
+    /// suffix.
+    pub(crate) fn chart_breadth_first(&mut self, ctx: &SearchCtx<'_>) -> Result<(), EngineError> {
+        debug_assert_eq!(self.table.len(), 1, "breadth-first ids need a fresh memo");
+        // Charted before the first checkpoint, so a pass stopped there
+        // still holds the root.
+        self.chart(ctx, self.root);
+        let mut cursor = 0;
+        while cursor < self.table.len() {
+            self.budget.check(self.bytes)?;
+            let id = StateId::new(cursor);
+            let (start, end) = self.chart(ctx, id);
+            for k in start..end {
+                let interned = self.table.len();
+                let cid = self.successor(ctx, id, k);
+                if self.table.len() > interned {
+                    if let Err(e) = self.budget.check_states(self.table.len()) {
+                        self.succ[k as usize] = UNSET;
+                        return Err(e);
+                    }
+                    self.chart(ctx, cid);
+                }
+            }
+            cursor += 1;
+        }
+        Ok(())
+    }
+
+    /// Decides [`Reach`] for every state of a breadth-first chart in one
+    /// sweep, in decreasing id order, and returns whether one of them is
+    /// a deadlock. Every edge adds one executed event, so each successor
+    /// has a larger id than its parent and the sweep sees it first. A
+    /// state is live once an edge leads to a completable state, and dead
+    /// once all its edges are stepped and lead to dead states. On a
+    /// truncated chart the rest stay unknown, so what the sweep decides
+    /// is what the chart proves.
+    pub(crate) fn decide_reach(&mut self, ctx: &SearchCtx<'_>) -> bool {
+        let mut deadlock_reachable = false;
+        let mut undecided = false;
+        for i in (0..self.charted_states()).rev() {
+            let st = self.table.get(StateId::new(i));
+            debug_assert!(
+                i == 0
+                    || self.table.get(StateId::new(i - 1)).executed_count() <= st.executed_count(),
+                "breadth-first ids are level-monotone"
+            );
+            if ctx.is_complete(st) {
+                continue;
+            }
+            let Slot { start, end, .. } = self.slots[i];
+            deadlock_reachable |= start == end;
+            let mut reach = Reach::Dead;
+            for &s in &self.succ[start as usize..end as usize] {
+                if s == UNSET {
+                    reach = Reach::Unknown;
+                    break;
+                }
+                let s = StateId::new(s as usize);
+                if self.completable(ctx, s) {
+                    reach = Reach::Live;
+                    break;
+                }
+                if self.slots[s.index()].reach == Reach::Unknown {
+                    reach = Reach::Unknown;
+                }
+            }
+            undecided |= reach == Reach::Unknown;
+            self.slots[i].reach = reach;
+        }
+        debug_assert!(
+            undecided || self.completable(ctx, self.root),
+            "the observed execution is itself feasible, so the initial state must be completable"
+        );
+        deadlock_reachable
     }
 
     /// `id`'s co-enabled list as a range of `edges`, charted the first
@@ -941,6 +1083,124 @@ mod tests {
         }
         assert!(!memo.edges.is_empty(), "the batch charted edges");
         assert!(memo.bytes > memo.table.approx_bytes() + memo.edges.len() * 8);
+        // A memo the summary pass charts to completion: the whole lattice.
+        let mut charted = QueryMemo::new(&ctx);
+        assert!(charted.bytes >= charted.heap_bytes());
+        crate::statespace::chart(&ctx, &mut charted).unwrap();
+        assert!(charted.bytes >= charted.heap_bytes());
+        let space = crate::statespace::finalize(&ctx, &mut charted);
+        assert_eq!(space.approx_heap_bytes, charted.bytes);
+        assert_eq!(charted.interned_states(), space.states);
+        assert!(charted.edges.len() >= memo.edges.len());
+    }
+
+    /// Opens a fresh memo, interns `st` into it, and asks whether a
+    /// complete schedule is reachable from there.
+    fn fresh_completes_from(ctx: &SearchCtx<'_>, st: &MachState) -> bool {
+        let mut fresh = QueryMemo::new(ctx);
+        fresh.scratch.clone_from(st);
+        let id = fresh.intern_scratch(st.key_fingerprint());
+        fresh.try_complete_from(ctx, id, &mut Vec::new()).unwrap()
+    }
+
+    /// After the summary pass charts a memo to completion, the reach it
+    /// decided for every state is what a completion search on a fresh
+    /// memo finds, and every witness query on it returns the answer and
+    /// the schedule a fresh memo returns, interning nothing new.
+    fn assert_summary_memo_answers_like_a_fresh_one(
+        label: &str,
+        exec: &eo_model::ProgramExecution,
+    ) {
+        for mode in [
+            FeasibilityMode::PreserveDependences,
+            FeasibilityMode::IgnoreDependences,
+        ] {
+            let ctx = SearchCtx::new(exec, mode);
+            let mut charted = QueryMemo::new(&ctx);
+            crate::statespace::chart(&ctx, &mut charted).unwrap();
+            let space = crate::statespace::finalize(&ctx, &mut charted);
+            for i in 0..space.states {
+                let id = StateId::new(i);
+                let st = charted.table.get(id);
+                let at = format!("{label} {mode:?}: state {i}");
+                assert_eq!(
+                    charted.completable(&ctx, id),
+                    fresh_completes_from(&ctx, st),
+                    "{at}"
+                );
+                assert!(
+                    charted.slots[i].reach != Reach::Unknown || ctx.is_complete(st),
+                    "{at}: reach left undecided"
+                );
+            }
+            let n = exec.n_events();
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    let (ea, eb) = (EventId::new(a), EventId::new(b));
+                    let at = format!("{label} {mode:?}: ({a},{b})");
+                    assert_eq!(
+                        charted.try_witness_before(&ctx, ea, eb).unwrap(),
+                        QueryMemo::new(&ctx)
+                            .try_witness_before(&ctx, ea, eb)
+                            .unwrap(),
+                        "{at}: witness_before"
+                    );
+                    assert_eq!(
+                        charted.try_witness_overlap(&ctx, ea, eb).unwrap(),
+                        QueryMemo::new(&ctx)
+                            .try_witness_overlap(&ctx, ea, eb)
+                            .unwrap(),
+                        "{at}: witness_overlap"
+                    );
+                }
+            }
+            assert_eq!(charted.interned_states(), space.states, "{label} {mode:?}");
+        }
+    }
+
+    #[test]
+    fn summary_memo_answers_like_a_fresh_one_on_fixtures() {
+        let gallery = [
+            ("independent_pair", fixtures::independent_pair().0),
+            ("sem_handshake", fixtures::sem_handshake().0),
+            ("fork_join_diamond", fixtures::fork_join_diamond().0),
+            ("crossing", fixtures::crossing().0),
+            ("figure1", fixtures::figure1().0),
+            ("post_wait_clear_chain", fixtures::post_wait_clear_chain().0),
+            ("shared_counter_race", fixtures::shared_counter_race().0),
+        ];
+        for (label, trace) in gallery {
+            assert_summary_memo_answers_like_a_fresh_one(label, &trace.to_execution().unwrap());
+        }
+    }
+
+    #[test]
+    fn summary_memo_answers_like_a_fresh_one_on_pitfall_4_to_7() {
+        for decoys in 4..=7 {
+            let exec = crate::enumerate::tests::pitfall_exec(decoys);
+            assert_summary_memo_answers_like_a_fresh_one(&format!("pitfall-{decoys}"), &exec);
+        }
+    }
+
+    /// The 4×4 semaphore and event programs of the differential suite,
+    /// seeds 0–3.
+    #[test]
+    fn summary_memo_answers_like_a_fresh_one_on_4x4_programs() {
+        use eo_lang::generator::{generate_trace, WorkloadSpec};
+        for events in [false, true] {
+            for seed in 0..4 {
+                let mut spec = if events {
+                    WorkloadSpec::small_events(seed)
+                } else {
+                    WorkloadSpec::small_semaphore(seed)
+                };
+                spec.processes = 4;
+                spec.events_per_process = 4;
+                let exec = generate_trace(&spec, 100).to_execution().unwrap();
+                let label = format!("4x4 events={events} seed {seed}");
+                assert_summary_memo_answers_like_a_fresh_one(&label, &exec);
+            }
+        }
     }
 
     #[test]

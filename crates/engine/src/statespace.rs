@@ -23,24 +23,25 @@
 //!
 //! ## The chart
 //!
-//! The pass records the lattice it walks as a `Chart`, stored flat the
-//! way the witness queries' memo stores theirs. States live **once**, in a
-//! [`StateTable`] arena keyed by [`StateId`]. Every state's co-enabled
+//! The pass charts the lattice into a fresh [`QueryMemo`], the same
+//! store the witness queries search: states live **once**, in the memo's
+//! `StateTable` arena keyed by [`StateId`], and every state's co-enabled
 //! list sits back to back in one edge arena, each edge with an aligned
-//! `u32` successor slot, and each state has one completable flag. Four
-//! consequences shape the inner loops:
+//! `u32` successor slot. Four consequences shape the inner loops:
 //!
 //! * successor lookups hash a state once (precomputed fingerprint) instead
 //!   of re-hashing full vectors per probe;
-//! * each state's *executed* set is threaded incrementally along chart
-//!   edges into a flat [`BitMatrix`] — a successor's row is its parent's
-//!   row plus exactly one bit, so the accumulation pass never queries the
-//!   machine per event;
+//! * no state stores its *executed* set: it is one prefix per process,
+//!   picked by the state's progress vector. The accumulation pass gathers
+//!   the pending sets per process and progress, never querying the
+//!   machine per event, and fills each event's `chb` row once at the end;
 //! * the overlap check "fire `p1` then `p2`, land completable?" is two
 //!   successor-slot reads instead of clone + 2×step + hash lookup;
 //! * states are expanded breadth-first, so ids rise with the executed
 //!   count and every successor has a larger id than its parent:
-//!   completability propagates in one reverse-id sweep, without a sort.
+//!   completability is decided in one reverse-id sweep, without a sort,
+//!   and written into the memo as each state's reach — the fact a witness
+//!   query would otherwise search for.
 //!
 //! A complete chart is also where the enumeration of F(P) reads its
 //! successors ([`crate::enumerate`]): a walk over the chart visits the
@@ -53,12 +54,11 @@
 use crate::budget::Budget;
 use crate::ctx::SearchCtx;
 use crate::engine::EngineError;
-use crate::statetable::{StateId, StateTable};
+use crate::queries::QueryMemo;
+use crate::statetable::StateId;
 use eo_model::{EventId, MachState, ProcessId};
 use eo_relations::fxhash::FxHashMap;
-use eo_relations::{BitMatrix, BitSet, Relation};
-use std::mem::size_of;
-use std::ops::Range;
+use eo_relations::{BitSet, Relation};
 
 /// Everything one pass over the cut lattice proves.
 #[derive(Clone, Debug)]
@@ -77,157 +77,10 @@ pub struct StateSpaceResult {
     /// executable).
     pub deadlock_reachable: bool,
     /// Approximate heap bytes the exploration's state storage held at its
-    /// peak (arena + executed rows + chart). Not part of the semantic
-    /// result — equality checks between explorers compare the relations
-    /// and counts, not this.
+    /// peak: the memo's running estimate, which the memory budget is
+    /// checked against. Not part of the semantic result — equality checks
+    /// between explorers compare the relations and counts, not this.
     pub approx_heap_bytes: usize,
-}
-
-/// A successor slot of an edge whose state the pass never expanded.
-const UNSET: u32 = u32::MAX;
-
-/// An edge-arena offset as a `u32`.
-fn offset(k: usize) -> u32 {
-    u32::try_from(k).expect("edge arena outgrew u32 offsets")
-}
-
-/// The charted cut lattice: interned states, their co-enabled lists in
-/// one flat edge arena with aligned successor slots, a completable flag
-/// per state, and the executed-set matrix with one row per state. Ids
-/// index every per-state array alike.
-pub(crate) struct Chart {
-    table: StateTable,
-    /// `edges[start[id]..start[id + 1]]` is state `id`'s co-enabled list,
-    /// sorted by process id; one entry per charted state, plus the end.
-    start: Vec<u32>,
-    /// Every charted co-enabled list, back to back.
-    edges: Vec<(ProcessId, EventId)>,
-    /// `succ[k]` = the state edge `k` leads to, or [`UNSET`] until its
-    /// state is expanded. A state's slots fill in edge order.
-    succ: Vec<u32>,
-    /// Whether a complete state is reachable through recorded edges;
-    /// decided by [`finalize`].
-    completable: Vec<bool>,
-    executed: BitMatrix,
-}
-
-impl Chart {
-    /// A chart holding only the initial state of `ctx`.
-    fn seeded(ctx: &SearchCtx<'_>, enabled: &mut Vec<(ProcessId, EventId)>) -> Self {
-        let mut table = StateTable::new();
-        let (root, fresh) = table.intern(ctx.initial_state());
-        debug_assert!(fresh && root.index() == 0);
-        let mut executed = BitMatrix::new(ctx.n_events());
-        executed.push_empty_row();
-        let mut chart = Chart {
-            table,
-            start: vec![0],
-            edges: Vec::new(),
-            succ: Vec::new(),
-            completable: Vec::new(),
-            executed,
-        };
-        chart.chart_state(ctx, root, enabled);
-        chart
-    }
-
-    /// Appends the co-enabled list of the freshly interned `id`, with
-    /// unset successor slots. `enabled` is scratch.
-    fn chart_state(
-        &mut self,
-        ctx: &SearchCtx<'_>,
-        id: StateId,
-        enabled: &mut Vec<(ProcessId, EventId)>,
-    ) {
-        debug_assert_eq!(id.index(), self.states());
-        ctx.co_enabled_into(self.table.get(id), enabled);
-        self.edges.extend_from_slice(enabled);
-        self.succ.resize(self.edges.len(), UNSET);
-        self.start.push(offset(self.edges.len()));
-        self.completable.push(false);
-    }
-
-    /// Number of charted states. When the state cap stops the pass, the
-    /// table holds one more: the state that tripped it, never charted.
-    #[inline]
-    pub(crate) fn states(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    /// The interned state behind `id`.
-    #[inline]
-    pub(crate) fn state(&self, id: StateId) -> &MachState {
-        self.table.get(id)
-    }
-
-    /// `id`'s edges as a range of the edge arena.
-    #[inline]
-    fn edge_range(&self, id: usize) -> Range<usize> {
-        self.start[id] as usize..self.start[id + 1] as usize
-    }
-
-    /// The number of events co-enabled at `id`.
-    #[inline]
-    pub(crate) fn out_degree(&self, id: StateId) -> usize {
-        self.edge_range(id.index()).len()
-    }
-
-    /// The `k`-th event co-enabled at `id`.
-    #[inline]
-    pub(crate) fn event(&self, id: StateId, k: usize) -> EventId {
-        self.edges[self.start[id.index()] as usize + k].1
-    }
-
-    /// The state firing the `k`-th event co-enabled at `id` leads to.
-    /// `id` must be expanded.
-    #[inline]
-    pub(crate) fn successor(&self, id: StateId, k: usize) -> StateId {
-        let slot = self.succ[self.start[id.index()] as usize + k];
-        debug_assert_ne!(slot, UNSET, "walked an edge of an unexpanded state");
-        StateId::new(slot as usize)
-    }
-
-    /// Whether every successor slot of `id` is filled. Slots fill in edge
-    /// order, so the last one decides.
-    #[inline]
-    fn expanded(&self, id: usize) -> bool {
-        let r = self.edge_range(id);
-        r.is_empty() || self.succ[r.end - 1] != UNSET
-    }
-
-    /// Whether every charted state is expanded: the pass ran to the end.
-    pub(crate) fn is_complete(&self) -> bool {
-        !self.succ.contains(&UNSET)
-    }
-
-    /// Approximate heap bytes of the state storage (arena, executed rows
-    /// and the chart), from lengths alone: O(1).
-    fn approx_bytes(&self) -> usize {
-        self.table.approx_bytes()
-            + self.executed.word_bytes()
-            + self.start.len() * size_of::<u32>()
-            + self.edges.len() * size_of::<(ProcessId, EventId)>()
-            + self.succ.len() * size_of::<u32>()
-            + self.completable.len() * size_of::<bool>()
-    }
-
-    /// Emits the standard arena metrics for a finished (or truncated)
-    /// chart: states charted, fingerprint collisions, arena bytes, and
-    /// lattice depth — the last state's level, since ids rise with it.
-    fn emit_metrics(&self) {
-        if !eo_obs::recording() {
-            return;
-        }
-        let states = self.states();
-        eo_obs::counter!("engine.states_interned", states as u64);
-        eo_obs::counter!("engine.fp_collisions", self.table.collisions());
-        eo_obs::gauge!("engine.arena_bytes", self.approx_bytes() as i64);
-        let last = StateId::new(states - 1);
-        eo_obs::gauge!(
-            "engine.bfs_levels",
-            self.table.get(last).executed_count() as i64 + 1
-        );
-    }
 }
 
 /// Explores the full reachable state space of `ctx`, bounded by
@@ -244,184 +97,125 @@ pub fn explore_statespace(
 
 /// Budgeted variant of [`explore_statespace`]: every [`Budget`] resource
 /// is honored at per-expansion granularity. All-or-nothing — for the
-/// partial chart a degraded analysis salvages, see `chart_budgeted`.
+/// partial chart a degraded analysis salvages, see `chart`.
 pub fn explore_statespace_budgeted(
     ctx: &SearchCtx<'_>,
     budget: &Budget,
 ) -> Result<StateSpaceResult, EngineError> {
-    let b = chart_budgeted(ctx, budget);
-    match b.stopped {
-        Some(e) => Err(e),
-        None => {
-            let mut chart = b.chart;
-            Ok(finalize(ctx, &mut chart))
-        }
-    }
+    let mut memo = QueryMemo::with_budget(ctx, budget.clone());
+    chart(ctx, &mut memo)?;
+    Ok(finalize(ctx, &mut memo))
 }
 
-/// A possibly-truncated exploration: the chart built so far plus the
-/// budget error that stopped it (`None` = ran to completion).
-///
-/// The truncated chart is *consistent*: every state's co-enabled list is
-/// charted when the state is interned, and its successor slots are
-/// either all filled or an unfilled suffix (frontier states have none
-/// filled yet). [`finalize`] turns it into sound under-approximations.
-pub(crate) struct PartialExploration {
-    pub(crate) chart: Chart,
-    pub(crate) stopped: Option<EngineError>,
-}
-
-/// Expands every reachable state exactly once, breadth-first, into a
-/// [`Chart`], checking the deadline / memory / cancel budget once per
-/// expanded state and the state cap per fresh state. On exhaustion the
-/// chart built so far is returned alongside the error instead of being
-/// discarded.
-pub(crate) fn chart_budgeted(ctx: &SearchCtx<'_>, budget: &Budget) -> PartialExploration {
+/// Charts `memo`, freshly opened under the pass's budget, breadth-first
+/// through every reachable state ([`QueryMemo::chart_breadth_first`]).
+/// On exhaustion the chart built so far stays in the memo, consistent,
+/// for [`finalize`] to salvage; the error says which resource ran out.
+pub(crate) fn chart(ctx: &SearchCtx<'_>, memo: &mut QueryMemo) -> Result<(), EngineError> {
     eo_obs::span!("engine.build_graph");
-    let mut enabled = Vec::new();
-    let mut chart = Chart::seeded(ctx, &mut enabled);
-    // One scratch state walks every lattice edge: `clone_from` reuses its
-    // buffers and `intern_ref` clones only on a fresh insert, so the
-    // expansion loop allocates per *state*, never per edge.
-    let mut scratch = ctx.initial_state();
-    let mut stopped = None;
-    let mut cursor = 0;
-    'expand: while cursor < chart.states() {
-        if let Err(e) = budget.check(chart.approx_bytes()) {
-            stopped = Some(e);
-            break;
-        }
-        let parent = StateId::new(cursor);
-        let parent_fp = chart.table.fingerprint(parent);
-        for k in chart.edge_range(cursor) {
-            let (p, e) = chart.edges[k];
-            scratch.clone_from(chart.table.get(parent));
-            let mut fp = parent_fp;
-            ctx.apply_keyed(&mut scratch, p, e, &mut fp);
-            let (id, fresh) = chart.table.intern_ref_keyed(&scratch, fp);
-            if fresh {
-                if let Err(err) = budget.check_states(chart.states() + 1) {
-                    stopped = Some(err);
-                    break 'expand;
-                }
-                chart.chart_state(ctx, id, &mut enabled);
-                // The successor executed exactly one more event than its
-                // parent: inherit the row, add one bit.
-                let row = chart.executed.push_row_copy(cursor);
-                debug_assert_eq!(row, id.index());
-                chart.executed.set(row, e.index());
-            }
-            chart.succ[k] = id.index() as u32;
-        }
-        cursor += 1;
+    let charted = memo.chart_breadth_first(ctx);
+    if eo_obs::recording() {
+        // States charted, fingerprint collisions, storage, and lattice
+        // depth: the last state's level, since ids rise with it.
+        let table = memo.table();
+        let states = memo.charted_states();
+        eo_obs::counter!("engine.states_interned", states as u64);
+        eo_obs::counter!("engine.fp_collisions", table.collisions());
+        eo_obs::gauge!("engine.arena_bytes", memo.approx_bytes() as i64);
+        let last = table.get(StateId::new(states - 1));
+        eo_obs::gauge!("engine.bfs_levels", last.executed_count() as i64 + 1);
     }
-    chart.emit_metrics();
-    PartialExploration { chart, stopped }
+    charted
 }
 
-/// Completability back-propagation plus pairwise-fact accumulation over an
-/// already-built chart. On a budget-truncated chart (one that is not
-/// [complete](Chart::is_complete)) the result is a **sound
-/// under-approximation** of the full answer:
+/// Completability plus pairwise-fact accumulation over a breadth-first
+/// [`chart`]: [`QueryMemo::decide_reach`] writes every state's reach into
+/// the memo, then the facts accumulate over the completable states. On a
+/// budget-truncated chart the result is a **sound under-approximation**
+/// of the full answer:
 ///
-/// * a state is marked completable only when an explored complete state
-///   is reachable through *recorded* edges, so every `chb`/`overlap` bit
-///   set here is witnessed by a genuinely feasible complete execution and
+/// * a state is marked completable only when a charted complete state is
+///   reachable through *recorded* edges, so every `chb`/`overlap` bit set
+///   here is witnessed by a genuinely feasible complete execution and
 ///   holds in the full result too;
 /// * missing states / missing edges can only *withhold* facts, never
-///   invent them (the expansion guard in [`pair_fires_completably`] keeps
+///   invent them (the expansion guards in [`accumulate`] keep
 ///   partially-expanded states out of the overlap walks);
 /// * `deadlock_reachable = true` is still definite — co-enabled lists are
 ///   charted when states are interned, so an incomplete state with none
 ///   is a real deadlock — but `false` now means "not proved".
-pub(crate) fn finalize(ctx: &SearchCtx<'_>, chart: &mut Chart) -> StateSpaceResult {
+pub(crate) fn finalize(ctx: &SearchCtx<'_>, memo: &mut QueryMemo) -> StateSpaceResult {
     eo_obs::span!("engine.finalize");
-    let deadlock_reachable = propagate_completability(ctx, chart);
-    let (chb, overlap, completable_states) = accumulate(ctx, chart);
+    let deadlock_reachable = memo.decide_reach(ctx);
+    let (chb, overlap, completable_states) = accumulate(ctx, memo);
     StateSpaceResult {
         chb,
         overlap,
-        states: chart.states(),
+        states: memo.charted_states(),
         completable_states,
         deadlock_reachable,
-        approx_heap_bytes: chart.approx_bytes(),
+        approx_heap_bytes: memo.approx_bytes(),
     }
-}
-
-/// Marks every state from which a complete schedule is reachable; returns
-/// whether any reachable state is a deadlock.
-///
-/// Breadth-first ids rise with the executed count, and every edge adds
-/// one executed event, so each successor has a larger id than its
-/// parent: one sweep in decreasing id order sees successors first. A
-/// truncated chart legitimately under-approximates completability (and
-/// may even fail to reach any complete state), so the root invariant is
-/// asserted only for complete charts.
-fn propagate_completability(ctx: &SearchCtx<'_>, chart: &mut Chart) -> bool {
-    let mut deadlock_reachable = false;
-    for i in (0..chart.states()).rev() {
-        let st = chart.table.get(StateId::new(i));
-        debug_assert!(
-            i == 0 || chart.table.get(StateId::new(i - 1)).executed_count() <= st.executed_count(),
-            "breadth-first ids are level-monotone"
-        );
-        let edges = chart.edge_range(i);
-        let completable = if ctx.is_complete(st) {
-            true
-        } else {
-            if edges.is_empty() {
-                deadlock_reachable = true;
-            }
-            chart.succ[edges]
-                .iter()
-                .any(|&s| s != UNSET && chart.completable[s as usize])
-        };
-        chart.completable[i] = completable;
-    }
-    debug_assert!(
-        !chart.is_complete() || chart.completable[0],
-        "the observed execution is itself feasible, so the initial state must be completable"
-    );
-    deadlock_reachable
 }
 
 /// Accumulates the pairwise facts (`chb`, `overlap`) over every
-/// completable state, returning them with the completable-state count.
-fn accumulate(ctx: &SearchCtx<'_>, chart: &Chart) -> (Relation, Relation, usize) {
+/// completable charted state, returning them with the completable-state
+/// count.
+fn accumulate(ctx: &SearchCtx<'_>, memo: &QueryMemo) -> (Relation, Relation, usize) {
     let n = ctx.n_events();
-    let mut chb = Relation::new(n);
+    let per_process = ctx.machine().per_process();
+    // Slot `base[p] + k` stands for process `p` having run its first `k`
+    // events: `prefixes` holds those events, `pending_at` every event some
+    // completable state with that progress has still to run. No state
+    // stores its executed set; its progress vector picks one prefix per
+    // process.
+    let mut base = Vec::with_capacity(per_process.len());
+    let mut prefixes = Vec::with_capacity(n + per_process.len());
+    for events in per_process {
+        base.push(prefixes.len());
+        let mut prefix = BitSet::new(n);
+        prefixes.push(prefix.clone());
+        for e in events {
+            prefix.insert(e.index());
+            prefixes.push(prefix.clone());
+        }
+    }
+    let mut pending_at = vec![BitSet::new(n); prefixes.len()];
     let mut overlap = Relation::new(n);
     let mut completable_states = 0;
-    let mut executed = BitSet::new(n);
     let mut pending = BitSet::new(n);
-    for i in 0..chart.states() {
-        if !chart.completable[i] {
+    for i in 0..memo.charted_states() {
+        let id = StateId::new(i);
+        if !memo.completable(ctx, id) {
             continue;
         }
         completable_states += 1;
-
-        // a executed, b pending ⇒ chb(a, b). The executed set was threaded
-        // along the chart edges at build time — two scratch-row loads
-        // here, no per-event machine queries.
-        chart.executed.load_row(i, &mut executed);
+        let progress = memo.table().get(id).progress();
         pending.set_all();
-        pending.difference_with(&executed);
-        for a in executed.iter() {
-            chb.row_mut(a).union_with(&pending);
+        for (&b, &k) in base.iter().zip(progress) {
+            pending.difference_with(&prefixes[b + k as usize]);
+        }
+        for (&b, &k) in base.iter().zip(progress) {
+            if k > 0 {
+                pending_at[b + k as usize].union_with(&pending);
+            }
         }
 
         // Simultaneously enabled pairs that can both fire and stay
-        // completable ⇒ overlap.
-        let edges = chart.edge_range(i);
+        // completable ⇒ overlap. On a truncated chart a state whose
+        // successor slots are not all filled witnesses nothing.
+        let Some(edges) = memo.stepped_edges(id) else {
+            continue;
+        };
         for x in edges.clone() {
             for y in (x + 1)..edges.end {
-                let (p1, e1) = chart.edges[x];
-                let (p2, e2) = chart.edges[y];
+                let (p1, e1) = memo.edge(x);
+                let (p2, e2) = memo.edge(y);
                 if overlap.contains(e1.index(), e2.index()) {
                     continue;
                 }
-                if pair_fires_completably(chart, i, x, p2)
-                    || pair_fires_completably(chart, i, y, p1)
+                if pair_fires_completably(ctx, memo, x, p2)
+                    || pair_fires_completably(ctx, memo, y, p1)
                 {
                     overlap.insert(e1.index(), e2.index());
                     overlap.insert(e2.index(), e1.index());
@@ -429,35 +223,41 @@ fn accumulate(ctx: &SearchCtx<'_>, chart: &Chart) -> (Relation, Relation, usize)
             }
         }
     }
+    // a executed, b pending ⇒ chb(a, b). The `j`-th event of process `p`
+    // has run wherever `p` has run more than `j` events.
+    let mut chb = Relation::new(n);
+    let mut later = BitSet::new(n);
+    for (events, &b) in per_process.iter().zip(&base) {
+        later.clear();
+        for (j, a) in events.iter().enumerate().rev() {
+            later.union_with(&pending_at[b + j + 1]);
+            chb.row_mut(a.index()).union_with(&later);
+        }
+    }
     (chb, overlap, completable_states)
 }
 
-/// From state `i`, can the pair fire back-to-back — first the event of
-/// edge `first` (one of `i`'s), then `second`'s next event — and leave a
-/// completable state? Pure successor-slot reads: firing edge `first`
-/// lands on `succ[first]`; `second` still being enabled there is a scan
-/// of that state's edges; the final state is one more slot read. No
+/// Can the pair fire back-to-back from an expanded state — first the
+/// event of its edge `first`, then `second`'s next event — and leave a
+/// completable state? Pure successor-slot reads: the first event lands
+/// on its edge's slot; `second` still being enabled there is a scan of
+/// that state's edges; the final state is one more slot read. No
 /// cloning, stepping, or hashing.
 #[inline]
-fn pair_fires_completably(chart: &Chart, i: usize, first: usize, second: ProcessId) -> bool {
-    // On a budget-truncated chart a state's successor slots may be unset
-    // (frontier / interrupted states); such states witness nothing.
-    // Complete charts always pass both guards.
-    if !chart.expanded(i) {
+fn pair_fires_completably(
+    ctx: &SearchCtx<'_>,
+    memo: &QueryMemo,
+    first: usize,
+    second: ProcessId,
+) -> bool {
+    // On a truncated chart a frontier state's slots are unset; it
+    // witnesses nothing. Complete charts always pass this guard.
+    let Some(mut edges) = memo.stepped_edges(memo.target(first)) else {
         return false;
-    }
-    let mid = chart.succ[first] as usize;
-    if !chart.expanded(mid) {
-        return false;
-    }
-    let edges = chart.edge_range(mid);
-    match chart.edges[edges.clone()]
-        .iter()
-        .position(|&(p, _)| p == second)
-    {
-        Some(k) => chart.completable[chart.succ[edges.start + k] as usize],
-        None => false,
-    }
+    };
+    edges
+        .find(|&k| memo.edge(k).0 == second)
+        .is_some_and(|k| memo.completable(ctx, memo.target(k)))
 }
 
 // --------------------------------------------------------------------------
@@ -786,6 +586,58 @@ mod tests {
         // after), so that branch deadlocks and witnesses nothing.
         assert!(!r.chb.contains(q1.index(), q0.index()));
         assert!(r.deadlock_reachable);
+    }
+
+    /// The memo's running estimate is what the memory budget checks
+    /// across the analysis: at every cap from below the root's cost to
+    /// above the full pass, `analyze` is exact, or degraded by the memory
+    /// cap and consistent with the exact summary.
+    #[test]
+    fn memory_caps_degrade_soundly_across_the_pass() {
+        use crate::{AnalysisOutcome, ExactEngine};
+        let programs = [
+            ("figure1", fixtures::figure1().0.to_execution().unwrap()),
+            ("pitfall-4", crate::enumerate::tests::pitfall_exec(4)),
+        ];
+        for (label, exec) in &programs {
+            for mode in [
+                FeasibilityMode::PreserveDependences,
+                FeasibilityMode::IgnoreDependences,
+            ] {
+                let ctx = SearchCtx::new(exec, mode);
+                let full = ExactEngine::with_mode(exec, mode).summary();
+                let root = QueryMemo::new(&ctx).approx_bytes();
+                let pass = explore_statespace(&ctx, 1 << 20).unwrap().approx_heap_bytes;
+                let (lo, hi) = (root - 1, 2 * pass);
+                let (mut exact, mut degraded) = (0, 0);
+                for cap in (lo..=hi).step_by((hi - lo) / 200 + 1) {
+                    let at = format!("{label} {mode:?} cap {cap}");
+                    let budget = Budget::unlimited().with_max_heap_bytes(cap);
+                    match ExactEngine::with_mode(exec, mode)
+                        .with_budget(budget)
+                        .analyze()
+                    {
+                        AnalysisOutcome::Exact(s) => {
+                            assert!(cap >= pass, "{at}: the pass fit under its cap");
+                            assert_eq!(s.chb_relation(), full.chb_relation(), "{at}");
+                            assert_eq!(s.ccw_relation(), full.ccw_relation(), "{at}");
+                            assert_eq!(s.class_count(), full.class_count(), "{at}");
+                            exact += 1;
+                        }
+                        AnalysisOutcome::Degraded(d) => {
+                            assert_eq!(d.reason(), &EngineError::MemoryExceeded { limit: cap });
+                            d.check_consistency_against(&full)
+                                .unwrap_or_else(|e| panic!("{at}: {e}"));
+                            degraded += 1;
+                        }
+                    }
+                }
+                assert!(
+                    exact > 0 && degraded > 0,
+                    "{label} {mode:?}: the sweep spans both"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //! fingerprints down a (almost always unit-length) bucket, touching state
 //! vectors only to confirm the final match.
 //!
-//! The same table serves the cut-lattice explorer and the witness-query
-//! memo tables — one abstraction, one storage cost, one id space.
+//! The table is the arena of [`QueryMemo`](crate::QueryMemo), the one
+//! store of the cut lattice that the summary pass charts breadth-first and
+//! the witness queries search depth-first — one abstraction, one storage
+//! cost, one id space. Only the differential oracle,
+//! `explore_statespace_baseline`, keeps states its own way.
 
 use eo_model::MachState;
 use eo_relations::fxhash::FxHashMap;
 
 /// Dense handle into a [`StateTable`] arena. Ids are assigned in
-/// interning order, so they double as node indices in the explorers'
-/// graphs and as memo-table indices in the witness queries.
+/// interning order, so they double as indices into the memo's per-state
+/// slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateId(u32);
 
@@ -198,8 +201,9 @@ impl StateTable {
             + 2 * std::mem::size_of::<u32>()
     }
 
-    /// Approximate heap bytes held by the arena and its buckets — the
-    /// memory-accounting hook the perf report uses.
+    /// Approximate heap bytes held by the arena and its buckets, from
+    /// lengths: the floor a running storage estimate must never fall
+    /// below.
     pub fn approx_bytes(&self) -> usize {
         let per_state: usize = self
             .states
