@@ -914,6 +914,22 @@ fn e17_gallery() -> Vec<(String, ProgramExecution)> {
         .collect()
 }
 
+/// The E17 workload set, in row order: every gallery fixture, every E12
+/// workload, and the 83-event ceiling workload.
+pub fn e17_workloads() -> Vec<(String, ProgramExecution, FeasibilityMode)> {
+    let mut inputs: Vec<_> = e17_gallery()
+        .into_iter()
+        .map(|(l, e)| (l, e, FeasibilityMode::PreserveDependences))
+        .collect();
+    inputs.extend(e12_workloads());
+    inputs.push((
+        "wide-pitfall-3x20".to_string(),
+        wide_pitfall_exec(3, 20),
+        FeasibilityMode::PreserveDependences,
+    ));
+    inputs
+}
+
 /// Measures one workload under one strategy. Sub-second searches are
 /// timed best-of-3; slower ones run once (their counts are deterministic
 /// and their wall times are long enough to be stable). Returns the row
@@ -966,19 +982,8 @@ pub fn e17_point(
 ///   the same budget.
 pub fn e17_rows() -> Vec<EquivRow> {
     let cap = 1 << 20;
-    let mut inputs: Vec<(String, ProgramExecution, FeasibilityMode)> = e17_gallery()
-        .into_iter()
-        .map(|(l, e)| (l, e, FeasibilityMode::PreserveDependences))
-        .collect();
-    inputs.extend(e12_workloads());
-    inputs.push((
-        "wide-pitfall-3x20".to_string(),
-        wide_pitfall_exec(3, 20),
-        FeasibilityMode::PreserveDependences,
-    ));
-
     let mut rows = Vec::new();
-    for (label, exec, mode) in &inputs {
+    for (label, exec, mode) in &e17_workloads() {
         let mut orders_of_finishers: Option<(EquivStrategy, Vec<u128>)> = None;
         for strategy in EquivStrategy::ALL {
             let (row, fps) = e17_point(label, exec, *mode, strategy, cap);

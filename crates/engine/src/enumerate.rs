@@ -162,8 +162,9 @@ trait Successors {
     /// Makes the state at `depth + 1` the one firing the `k`-th
     /// co-enabled event at `depth` leads to.
     fn descend(&mut self, ctx: &SearchCtx<'_>, depth: usize, k: usize);
-    /// The machine state at `depth`.
-    fn state(&self, depth: usize) -> &MachState;
+    /// The progress counters and flag words of the state at `depth`,
+    /// the parts of it [`ScanState::state_key`] reads.
+    fn key_parts(&self, depth: usize) -> (&[u32], &[u32]);
     /// Heap bytes the source holds, fixed from construction on.
     fn heap_bytes(&self) -> usize;
 }
@@ -211,8 +212,9 @@ impl Successors for MachineSteps {
         ctx.step(&mut next[0], p);
     }
 
-    fn state(&self, depth: usize) -> &MachState {
-        &self.states[depth]
+    fn key_parts(&self, depth: usize) -> (&[u32], &[u32]) {
+        let st = &self.states[depth];
+        (st.progress(), st.flags())
     }
 
     fn heap_bytes(&self) -> usize {
@@ -235,7 +237,7 @@ struct ChartWalk<'g> {
 
 impl Successors for ChartWalk<'_> {
     fn is_complete(&self, ctx: &SearchCtx<'_>, depth: usize) -> bool {
-        ctx.is_complete(self.state(depth))
+        self.memo.is_complete(ctx, self.path[depth])
     }
 
     fn expand(&mut self, _: &SearchCtx<'_>, depth: usize) -> usize {
@@ -255,8 +257,12 @@ impl Successors for ChartWalk<'_> {
         self.path[depth + 1] = self.memo.target(self.first[depth] + k);
     }
 
-    fn state(&self, depth: usize) -> &MachState {
-        self.memo.table().get(self.path[depth])
+    fn key_parts(&self, depth: usize) -> (&[u32], &[u32]) {
+        let table = self.memo.table();
+        (
+            table.progress(self.path[depth]),
+            table.flags(self.path[depth]),
+        )
     }
 
     fn heap_bytes(&self) -> usize {
@@ -452,7 +458,8 @@ impl<S: Successors> Enumerator<'_, '_, S> {
         }
         let depth = self.schedule.len();
         let scan = self.scan.as_ref().expect("canonical search seeds the scan");
-        let key = combine_key(scan.state_key(self.src.state(depth)), scan.edge_hash());
+        let (progress, flags) = self.src.key_parts(depth);
+        let key = combine_key(scan.state_key(progress, flags), scan.edge_hash());
         if !self.visited.insert(key) {
             self.pruned_branches += 1;
             return;

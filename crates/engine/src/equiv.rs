@@ -42,7 +42,7 @@
 //! bit-identical order sets on every fixture, both E9 families, and seeded
 //! generated programs, in both feasibility modes.
 
-use eo_model::{EventId, MachState, Op, Trace};
+use eo_model::{EventId, Op, Trace};
 use eo_relations::Relation;
 use std::collections::VecDeque;
 use std::fmt;
@@ -384,9 +384,11 @@ impl ScanState {
         self.edge_key
     }
 
-    /// The future-relevant canonical key of `(st, self)`, **excluding**
-    /// the ordering component (callers fold in [`ScanState::edge_hash`]
-    /// via [`combine_key`]).
+    /// The future-relevant canonical key of `(st, self)`, for a machine
+    /// state `st` given by its [progress](eo_model::MachState::progress)
+    /// and [flags](eo_model::MachState::flags), **excluding** the ordering
+    /// component (callers fold in [`ScanState::edge_hash`] via
+    /// [`combine_key`]).
     ///
     /// Soundness of every truncation, component by component:
     ///
@@ -403,7 +405,7 @@ impl ScanState {
     ///   remaining_P ≥` the pops that will ever occur);
     /// * `current_post`/`flushed`/`clears` are read only by future Waits,
     ///   `waits` only by future Clears — dropped when none remain.
-    pub fn state_key(&self, st: &MachState) -> u128 {
+    pub fn state_key(&self, progress: &[u32], flags: &[u32]) -> u128 {
         let mut h1: u64 = 0x243F_6A88_85A3_08D3;
         let mut h2: u64 = 0x1319_8A2E_0370_7344;
         let mut put = |w: u64| {
@@ -411,11 +413,11 @@ impl ScanState {
             h1 ^= m;
             h2 = mix64(h2 ^ m);
         };
-        for (p, &x) in st.progress().iter().enumerate() {
+        for (p, &x) in progress.iter().enumerate() {
             put(tag(1, p as u64, x as u64));
         }
-        for (v, &set) in st.flags().iter().enumerate() {
-            if set && self.rem_wait[v] > 0 {
+        for (v, &set) in flags.iter().enumerate() {
+            if set != 0 && self.rem_wait[v] > 0 {
                 put(tag(2, v as u64, 1));
             }
         }
@@ -529,7 +531,8 @@ mod tests {
         // Drive one specific complete schedule.
         let schedule: Vec<EventId> = (0..5).map(EventId::new).collect();
         let mut scan = ScanState::new(exec.trace());
-        let initial_key = scan.state_key(&ctx.initial_state());
+        let init = ctx.initial_state();
+        let initial_key = scan.state_key(init.progress(), init.flags());
         let heap = scan.heap_bytes();
         let mut st = ctx.initial_state();
         let mut edges = Vec::new();
@@ -565,7 +568,7 @@ mod tests {
         }
         assert_eq!(scan.edge_key(), 0);
         assert_eq!(scan.edge_hash(), 0);
-        assert_eq!(scan.state_key(&ctx.initial_state()), initial_key);
+        assert_eq!(scan.state_key(init.progress(), init.flags()), initial_key);
     }
 
     #[test]

@@ -155,9 +155,10 @@ pub struct QueryMemo {
     /// Scratch co-enabled list, copied into `edges` when a state is
     /// charted.
     enabled: Vec<(ProcessId, EventId)>,
-    /// The one state that steps lattice edges: `clone_from` reuses its
-    /// buffers, so stepping allocates only when a fresh state must be
-    /// interned.
+    /// The one state the machine steps: a state is loaded into it from
+    /// the table (one slice copy into its buffer) before its co-enabled
+    /// list is charted or an edge out of it is stepped, so nothing is
+    /// allocated per state or per edge.
     scratch: MachState,
     /// Supervisor budget, checked once per DFS step (an unlimited budget
     /// makes every check one relaxed atomic load).
@@ -184,7 +185,7 @@ impl QueryMemo {
         let initial = ctx.initial_state();
         let per_state = StateTable::bytes_per_state(&initial) + size_of::<Slot>();
         let mut table = StateTable::new();
-        let (root, _) = table.intern_ref(&initial);
+        let (root, _) = table.intern(&initial);
         QueryMemo {
             table,
             root,
@@ -277,11 +278,17 @@ impl QueryMemo {
         stepped.then_some(start as usize..end as usize)
     }
 
+    /// Whether state `id` has executed every event.
+    #[inline]
+    pub(crate) fn is_complete(&self, ctx: &SearchCtx<'_>, id: StateId) -> bool {
+        self.table.executed(id) as usize == ctx.n_events()
+    }
+
     /// Whether the memo knows a complete schedule to be reachable from
     /// `id`: it is complete, or live.
     #[inline]
     pub(crate) fn completable(&self, ctx: &SearchCtx<'_>, id: StateId) -> bool {
-        self.slots[id.index()].reach == Reach::Live || ctx.is_complete(self.table.get(id))
+        self.slots[id.index()].reach == Reach::Live || self.is_complete(ctx, id)
     }
 
     /// Charts the lattice breadth-first from the root of a fresh memo,
@@ -332,13 +339,12 @@ impl QueryMemo {
         let mut deadlock_reachable = false;
         let mut undecided = false;
         for i in (0..self.charted_states()).rev() {
-            let st = self.table.get(StateId::new(i));
+            let id = StateId::new(i);
             debug_assert!(
-                i == 0
-                    || self.table.get(StateId::new(i - 1)).executed_count() <= st.executed_count(),
+                i == 0 || self.table.executed(StateId::new(i - 1)) <= self.table.executed(id),
                 "breadth-first ids are level-monotone"
             );
-            if ctx.is_complete(st) {
+            if self.is_complete(ctx, id) {
                 continue;
             }
             let Slot { start, end, .. } = self.slots[i];
@@ -375,7 +381,8 @@ impl QueryMemo {
         if slot.start != UNSET {
             return (slot.start, slot.end);
         }
-        ctx.co_enabled_into(self.table.get(id), &mut self.enabled);
+        self.table.load(id, &mut self.scratch);
+        ctx.co_enabled_into(&self.scratch, &mut self.enabled);
         let start = offset(self.edges.len());
         self.edges.extend_from_slice(&self.enabled);
         self.succ.resize(self.edges.len(), UNSET);
@@ -395,7 +402,7 @@ impl QueryMemo {
             return StateId::new(slot as usize);
         }
         let (p, e) = self.edges[k as usize];
-        self.scratch.clone_from(self.table.get(id));
+        self.table.load(id, &mut self.scratch);
         let mut fp = self.table.fingerprint(id);
         ctx.apply_keyed(&mut self.scratch, p, e, &mut fp);
         let cid = self.intern_scratch(fp);
@@ -406,7 +413,7 @@ impl QueryMemo {
     /// Interns the scratch state, whose key fingerprint is `fp`, growing
     /// the per-state memo slots on a fresh insert.
     fn intern_scratch(&mut self, fp: u64) -> StateId {
-        let (cid, fresh) = self.table.intern_ref_keyed(&self.scratch, fp);
+        let (cid, fresh) = self.table.intern_keyed(&self.scratch, fp);
         if fresh {
             self.slots.push(Slot::FRESH);
             self.bytes += self.per_state;
@@ -437,7 +444,7 @@ impl QueryMemo {
         start: StateId,
         out: &mut Vec<EventId>,
     ) -> Result<bool, EngineError> {
-        if ctx.is_complete(self.table.get(start)) {
+        if self.is_complete(ctx, start) {
             return Ok(true);
         }
         if self.slots[start.index()].reach == Reach::Dead {
@@ -459,7 +466,7 @@ impl QueryMemo {
             top.1 += 1;
             let cid = self.successor(ctx, id, k);
             let e = self.edges[k as usize].1;
-            if ctx.is_complete(self.table.get(cid)) {
+            if self.is_complete(ctx, cid) {
                 out.push(e);
                 // Only this walk's frames are marked: a later walk from
                 // any of them would retrace this one past branches already
@@ -671,7 +678,7 @@ impl QueryMemo {
         // Step x then y through the scratch state, interning only the
         // state both land in. `py` differs from `px` (a process has one
         // next event), so its next event is still `y` after x fires.
-        self.scratch.clone_from(self.table.get(id));
+        self.table.load(id, &mut self.scratch);
         let mut fp = self.table.fingerprint(id);
         ctx.apply_keyed(&mut self.scratch, px, x, &mut fp);
         if ctx.machine().enabled(&self.scratch, py).is_err()
@@ -1119,17 +1126,18 @@ mod tests {
             let mut charted = QueryMemo::new(&ctx);
             crate::statespace::chart(&ctx, &mut charted).unwrap();
             let space = crate::statespace::finalize(&ctx, &mut charted);
+            let mut st = ctx.initial_state();
             for i in 0..space.states {
                 let id = StateId::new(i);
-                let st = charted.table.get(id);
+                charted.table.load(id, &mut st);
                 let at = format!("{label} {mode:?}: state {i}");
                 assert_eq!(
                     charted.completable(&ctx, id),
-                    fresh_completes_from(&ctx, st),
+                    fresh_completes_from(&ctx, &st),
                     "{at}"
                 );
                 assert!(
-                    charted.slots[i].reach != Reach::Unknown || ctx.is_complete(st),
+                    charted.slots[i].reach != Reach::Unknown || ctx.is_complete(&st),
                     "{at}: reach left undecided"
                 );
             }

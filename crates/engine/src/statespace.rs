@@ -122,8 +122,8 @@ pub(crate) fn chart(ctx: &SearchCtx<'_>, memo: &mut QueryMemo) -> Result<(), Eng
         eo_obs::counter!("engine.states_interned", states as u64);
         eo_obs::counter!("engine.fp_collisions", table.collisions());
         eo_obs::gauge!("engine.arena_bytes", memo.approx_bytes() as i64);
-        let last = table.get(StateId::new(states - 1));
-        eo_obs::gauge!("engine.bfs_levels", last.executed_count() as i64 + 1);
+        let last = table.executed(StateId::new(states - 1));
+        eo_obs::gauge!("engine.bfs_levels", last as i64 + 1);
     }
     charted
 }
@@ -190,7 +190,7 @@ fn accumulate(ctx: &SearchCtx<'_>, memo: &QueryMemo) -> (Relation, Relation, usi
             continue;
         }
         completable_states += 1;
-        let progress = memo.table().get(id).progress();
+        let progress = memo.table().progress(id);
         pending.set_all();
         for (&b, &k) in base.iter().zip(progress) {
             pending.difference_with(&prefixes[b + k as usize]);

@@ -28,9 +28,10 @@ use eo_engine::EquivStrategy;
 use eo_engine::{enumerate_classes, enumerate_classes_with};
 use eo_engine::{
     explore_statespace, explore_statespace_baseline, queries, Budget, EngineError, FeasibilityMode,
-    OrderingSummary, QueryMemo, QuerySession, SearchCtx, StateId, StateSpaceResult, StateTable,
+    OrderingSummary, QueryMemo, QuerySession, SearchCtx, StateId, StateSpaceResult,
 };
 use eo_model::{EventId, MachState, ProcessId, ProgramExecution};
+use eo_relations::fxhash::FxHashMap;
 use eo_relations::{BitSet, Relation};
 use std::collections::HashSet;
 
@@ -430,11 +431,15 @@ fn incremental_leaves_replay_the_reference_on_pitfall_9() {
 
 /// The witness search without a chart, kept here as the reference for the
 /// engine's charted one: every edge a search walks clones the parent state,
-/// steps the machine and probes the intern table; each frame recomputes
-/// its co-enabled list into a pooled buffer; the only persistent memo is
-/// the dead set. Its one budget is a state cap.
+/// steps the machine and probes its own index; each frame recomputes its
+/// co-enabled list into a pooled buffer; the only persistent memo is the
+/// dead set. It stores states its own way, one `MachState` per id plus a
+/// map from state to id (as `explore_statespace_baseline` does), so it
+/// checks the engine's state table rather than sharing it. Its one budget
+/// is a state cap.
 struct ReferenceQueryMemo {
-    table: StateTable,
+    states: Vec<MachState>,
+    index: FxHashMap<MachState, StateId>,
     root: StateId,
     dead: Vec<bool>,
     stamp: Vec<u32>,
@@ -453,10 +458,11 @@ struct ReferenceFrame {
 
 impl ReferenceQueryMemo {
     fn new(ctx: &SearchCtx<'_>, max_states: Option<usize>) -> Self {
-        let mut table = StateTable::new();
-        let (root, _) = table.intern(ctx.initial_state());
+        let root = StateId::new(0);
+        let initial = ctx.initial_state();
         ReferenceQueryMemo {
-            table,
+            states: vec![initial.clone()],
+            index: FxHashMap::from_iter([(initial, root)]),
             root,
             dead: vec![false],
             stamp: vec![0],
@@ -470,7 +476,7 @@ impl ReferenceQueryMemo {
 
     fn checkpoint(&self) -> Result<(), EngineError> {
         match self.max_states {
-            Some(limit) if self.table.len() > limit => {
+            Some(limit) if self.states.len() > limit => {
                 Err(EngineError::StateSpaceExceeded { limit })
             }
             _ => Ok(()),
@@ -478,16 +484,23 @@ impl ReferenceQueryMemo {
     }
 
     fn interned_states(&self) -> usize {
-        self.table.len()
+        self.states.len()
     }
 
-    fn intern_scratch(&mut self, fp: u64) -> StateId {
-        let (cid, fresh) = self.table.intern_ref_keyed(&self.scratch, fp);
-        if fresh {
-            self.dead.push(false);
-            self.stamp.push(0);
+    fn state(&self, id: StateId) -> &MachState {
+        &self.states[id.index()]
+    }
+
+    fn intern_scratch(&mut self) -> StateId {
+        if let Some(&id) = self.index.get(&self.scratch) {
+            return id;
         }
-        cid
+        let id = StateId::new(self.states.len());
+        self.states.push(self.scratch.clone());
+        self.index.insert(self.scratch.clone(), id);
+        self.dead.push(false);
+        self.stamp.push(0);
+        id
     }
 
     fn step_and_intern(
@@ -497,10 +510,9 @@ impl ReferenceQueryMemo {
         p: ProcessId,
         e: EventId,
     ) -> StateId {
-        self.scratch.clone_from(self.table.get(id));
-        let mut fp = self.table.fingerprint(id);
-        ctx.apply_keyed(&mut self.scratch, p, e, &mut fp);
-        self.intern_scratch(fp)
+        self.scratch.clone_from(&self.states[id.index()]);
+        assert_eq!(ctx.step(&mut self.scratch, p), e, "a stale co-enabled list");
+        self.intern_scratch()
     }
 
     fn next_epoch(&mut self) -> u32 {
@@ -510,7 +522,7 @@ impl ReferenceQueryMemo {
 
     fn frame(&mut self, ctx: &SearchCtx<'_>, id: StateId) -> ReferenceFrame {
         let mut enabled = self.pool.pop().unwrap_or_default();
-        ctx.co_enabled_into(self.table.get(id), &mut enabled);
+        ctx.co_enabled_into(&self.states[id.index()], &mut enabled);
         ReferenceFrame { id, enabled, k: 0 }
     }
 
@@ -524,7 +536,7 @@ impl ReferenceQueryMemo {
         start: StateId,
         out: &mut Vec<EventId>,
     ) -> Result<bool, EngineError> {
-        if ctx.is_complete(self.table.get(start)) {
+        if ctx.is_complete(self.state(start)) {
             return Ok(true);
         }
         if self.dead[start.index()] {
@@ -547,7 +559,7 @@ impl ReferenceQueryMemo {
             top.k += 1;
             let id = top.id;
             let cid = self.step_and_intern(ctx, id, p, e);
-            if ctx.is_complete(self.table.get(cid)) {
+            if ctx.is_complete(self.state(cid)) {
                 out.push(e);
                 self.release(stack);
                 return Ok(true);
@@ -587,7 +599,7 @@ impl ReferenceQueryMemo {
             top.k += 1;
             let id = top.id;
             let cid = self.step_and_intern(ctx, id, p, e);
-            let child = self.table.get(cid);
+            let child = self.state(cid);
             let first_done = ctx.machine().executed(child, first);
             let second_done = ctx.machine().executed(child, second);
             if second_done && !first_done {
@@ -643,7 +655,7 @@ impl ReferenceQueryMemo {
             top.k += 1;
             let id = top.id;
             let cid = self.step_and_intern(ctx, id, p, e);
-            let child = self.table.get(cid);
+            let child = self.state(cid);
             if ctx.machine().executed(child, a) || ctx.machine().executed(child, b) {
                 continue;
             }
@@ -680,18 +692,17 @@ impl ReferenceQueryMemo {
         y: EventId,
     ) -> Result<bool, EngineError> {
         let mut enabled = self.pool.pop().unwrap_or_default();
-        ctx.co_enabled_into(self.table.get(id), &mut enabled);
+        ctx.co_enabled_into(&self.states[id.index()], &mut enabled);
         let px = enabled.iter().find(|&&(_, ev)| ev == x).map(|&(p, _)| p);
         let py = enabled.iter().find(|&&(_, ev)| ev == y).map(|&(p, _)| p);
         let landed = match (px, py) {
             (Some(px), Some(py)) => {
-                self.scratch.clone_from(self.table.get(id));
-                let mut fp = self.table.fingerprint(id);
-                ctx.step_keyed(&mut self.scratch, px, &mut fp);
+                self.scratch.clone_from(&self.states[id.index()]);
+                ctx.step(&mut self.scratch, px);
                 ctx.co_enabled_into(&self.scratch, &mut enabled);
                 if enabled.iter().any(|&(p, _)| p == py) {
-                    ctx.step_keyed(&mut self.scratch, py, &mut fp);
-                    Some(self.intern_scratch(fp))
+                    ctx.step(&mut self.scratch, py);
+                    Some(self.intern_scratch())
                 } else {
                     None
                 }

@@ -16,8 +16,10 @@
 //!   shared-data-dependence gate (condition F3 of the paper), are exactly
 //!   the feasible program executions F(P).
 //!
-//! The machine state is deliberately small and cheap to clone (three small
-//! vectors), because the engine's search clones it at every branch point.
+//! The machine state is one flat row of `u32` words (progress, then
+//! semaphore counters, then event-variable flags), because the engine's
+//! search copies it at every branch point and its state tables store
+//! and compare it as a plain slice.
 
 use crate::event::Op;
 use crate::ids::{EventId, ProcessId};
@@ -39,37 +41,42 @@ pub struct Machine<'a> {
 /// A point in the schedule space: how far each process has executed, plus
 /// the current synchronization state.
 ///
-/// `sem` is derivable from `next` (counts of executed `V`s and `P`s), but
-/// `flag` is **not** — it depends on the *order* in which `Post`s and
-/// `Clear`s interleaved — so states with equal `next` can differ. Both are
-/// kept: `sem` for O(1) enabledness, `flag` for correctness; `Hash`/`Eq`
-/// make the state directly usable as a memoization key.
+/// The state is one row of words: the progress counter of each process,
+/// then each semaphore's counter, then each event variable's flag as a
+/// 0/1 word. Counters are derivable from progress (counts of executed `V`s
+/// and `P`s), but flags are **not**: they depend on the *order* in which
+/// `Post`s and `Clear`s interleaved, so states with equal progress can
+/// differ. Both are kept, counters for O(1) enabledness and flags for
+/// correctness. All states of one machine have rows of one width, so
+/// copying a state is one slice copy and comparing two is one slice
+/// compare; `Hash`/`Eq` make the state directly usable as a memoization
+/// key.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct MachState {
-    next: Vec<u32>,
-    sem: Vec<u32>,
-    flag: Vec<bool>,
+    words: Vec<u32>,
+    /// Index of the first semaphore counter in `words`: the process count.
+    sems_at: u32,
+    /// Index of the first flag in `words`.
+    flags_at: u32,
     executed: u32,
 }
 
 impl Clone for MachState {
     fn clone(&self) -> Self {
         MachState {
-            next: self.next.clone(),
-            sem: self.sem.clone(),
-            flag: self.flag.clone(),
-            executed: self.executed,
+            words: self.words.clone(),
+            ..*self
         }
     }
 
     /// Buffer-reusing `clone_from` (the derive would drop and reallocate):
-    /// all states of one machine have identically-sized vectors, so a
-    /// scratch state that walks the lattice via `clone_from` + `step`
-    /// allocates exactly once — the pattern every engine inner loop uses.
+    /// all states of one machine have rows of one width, so a scratch
+    /// state that walks the lattice via `clone_from` + `step` allocates
+    /// exactly once — the pattern every engine inner loop uses.
     fn clone_from(&mut self, src: &Self) {
-        self.next.clone_from(&src.next);
-        self.sem.clone_from(&src.sem);
-        self.flag.clone_from(&src.flag);
+        self.words.clone_from(&src.words);
+        self.sems_at = src.sems_at;
+        self.flags_at = src.flags_at;
         self.executed = src.executed;
     }
 }
@@ -83,53 +90,31 @@ impl MachState {
         self.executed
     }
 
-    /// A 64-bit fingerprint of the whole state (Fx multiply-rotate over
-    /// the progress/semaphore/flag vectors).
-    ///
-    /// Equal states always have equal fingerprints; the converse holds
-    /// only modulo hash collisions, so interning tables bucket by
-    /// fingerprint and confirm with full equality. Computing this once per
-    /// state and comparing 8 bytes afterwards is what lets the engine's
-    /// state arena stop re-hashing whole states on every probe.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = eo_relations::fxhash::FxHasher::default();
-        self.hash(&mut h);
-        h.finish()
-    }
-
     /// Fingerprint of the state's *deduplication key*: the progress
-    /// vector and the event-variable flags. For a fixed machine `sem` is
-    /// a function of `next` (counts of executed `V`s minus `P`s) and
-    /// `executed` is its sum, so two states of the same machine are equal
-    /// iff their keys are — interning tables hash and compare only the
-    /// key. Never mix fingerprints of states from different machines.
+    /// counters and the event-variable flags. For a fixed machine the
+    /// semaphore counters are a function of progress (counts of executed
+    /// `V`s minus `P`s) and `executed` is its sum, so two states of the
+    /// same machine are equal iff their keys are — and iff their
+    /// [`words`](MachState::words) are. Never mix fingerprints of states
+    /// from different machines.
     ///
     /// The fingerprint is a Zobrist-style XOR of one well-mixed word per
     /// occupied key slot. XOR is self-inverse, so a single machine step —
-    /// which touches one `next` slot and at most one flag — updates the
+    /// which touches one progress slot and at most one flag — updates the
     /// fingerprint in O(1) ([`Machine::step_keyed`]) instead of re-hashing
-    /// every vector, which is what makes interning cheap per lattice
+    /// every word, which is what makes interning cheap per lattice
     /// *edge* rather than per state.
     pub fn key_fingerprint(&self) -> u64 {
         let mut fp = 0u64;
-        for (p, &x) in self.next.iter().enumerate() {
+        for (p, &x) in self.progress().iter().enumerate() {
             fp ^= zobrist_next(p as u32, x);
         }
-        for (v, &b) in self.flag.iter().enumerate() {
-            if b {
+        for (v, &b) in self.flags().iter().enumerate() {
+            if b != 0 {
                 fp ^= zobrist_flag(v as u32);
             }
         }
         fp
-    }
-
-    /// Equality on the deduplication key (see
-    /// [`MachState::key_fingerprint`]): equivalent to full `==` for
-    /// states of one machine, at half the comparison cost.
-    #[inline]
-    pub fn key_eq(&self, other: &MachState) -> bool {
-        self.next == other.next && self.flag == other.flag
     }
 
     /// Per-process progress counters: `progress()[p]` is how many events
@@ -140,21 +125,60 @@ impl MachState {
     /// of the key (e.g. dropping flags no future event observes).
     #[inline]
     pub fn progress(&self) -> &[u32] {
-        &self.next
+        &self.words[..self.sems_at as usize]
     }
 
-    /// Current event-variable flag values, indexed by variable.
+    /// Current event-variable flags, indexed by variable: 1 if set, 0 if
+    /// clear.
     #[inline]
-    pub fn flags(&self) -> &[bool] {
-        &self.flag
+    pub fn flags(&self) -> &[u32] {
+        &self.words[self.flags_at as usize..]
     }
 
-    /// Heap bytes owned by this state's vectors (memory accounting for
-    /// the engine's state arenas; excludes the struct header itself).
+    /// The whole state row: progress, semaphore counters, then flags.
+    /// Rows of two states of one machine are equal iff the states are.
+    #[inline]
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
+    /// Overwrites this state with `words`, the [row](MachState::words)
+    /// of a state of the same machine, and that state's executed count:
+    /// one slice copy, no allocation. The engine's state tables store
+    /// rows flat and load them back through this.
+    ///
+    /// # Panics
+    /// Panics if `words` is not as wide as this state's row.
+    #[inline]
+    pub fn load(&mut self, words: &[u32], executed: u32) {
+        self.words.copy_from_slice(words);
+        self.executed = executed;
+    }
+
+    /// Heap bytes owned by this state's row (memory accounting for the
+    /// engine's state arenas; excludes the struct header itself).
     pub fn heap_bytes(&self) -> usize {
-        self.next.len() * std::mem::size_of::<u32>()
-            + self.sem.len() * std::mem::size_of::<u32>()
-            + self.flag.len()
+        self.words.len() * std::mem::size_of::<u32>()
+    }
+
+    #[inline]
+    fn sem(&self, s: usize) -> u32 {
+        self.words[self.sems_at as usize + s]
+    }
+
+    #[inline]
+    fn flag(&self, v: usize) -> u32 {
+        self.words[self.flags_at as usize + v]
+    }
+
+    #[inline]
+    fn sem_mut(&mut self, s: usize) -> &mut u32 {
+        &mut self.words[self.sems_at as usize + s]
+    }
+
+    #[inline]
+    fn flag_mut(&mut self, v: usize) -> &mut u32 {
+        &mut self.words[self.flags_at as usize + v]
     }
 }
 
@@ -292,15 +316,17 @@ impl<'a> Machine<'a> {
 
     /// The state before anything has executed.
     pub fn initial_state(&self) -> MachState {
+        let trace = self.trace;
+        let sems_at = trace.processes.len();
+        let flags_at = sems_at + trace.semaphores.len();
+        let mut words = Vec::with_capacity(flags_at + trace.event_vars.len());
+        words.resize(sems_at, 0);
+        words.extend(trace.semaphores.iter().map(|s| s.initial));
+        words.extend(trace.event_vars.iter().map(|v| u32::from(v.initially_set)));
         MachState {
-            next: vec![0; self.trace.processes.len()],
-            sem: self.trace.semaphores.iter().map(|s| s.initial).collect(),
-            flag: self
-                .trace
-                .event_vars
-                .iter()
-                .map(|v| v.initially_set)
-                .collect(),
+            words,
+            sems_at: u32::try_from(sems_at).expect("process count fits u32"),
+            flags_at: u32::try_from(flags_at).expect("state width fits u32"),
             executed: 0,
         }
     }
@@ -309,26 +335,26 @@ impl<'a> Machine<'a> {
     pub fn started(&self, st: &MachState, p: ProcessId) -> bool {
         match self.creator[p.index()] {
             None => true,
-            Some((creator, fork_pos)) => st.next[creator.index()] > fork_pos,
+            Some((creator, fork_pos)) => st.words[creator.index()] > fork_pos,
         }
     }
 
     /// True iff process `p` has executed all its events (and exists).
     pub fn process_complete(&self, st: &MachState, p: ProcessId) -> bool {
-        st.next[p.index()] as usize == self.per_process[p.index()].len() && self.started(st, p)
+        st.words[p.index()] as usize == self.per_process[p.index()].len() && self.started(st, p)
     }
 
     /// The next unexecuted event of process `p`, if any.
     pub fn next_event(&self, st: &MachState, p: ProcessId) -> Option<EventId> {
         self.per_process[p.index()]
-            .get(st.next[p.index()] as usize)
+            .get(st.words[p.index()] as usize)
             .copied()
     }
 
     /// True iff event `e` has executed at `st`.
     #[inline]
     pub fn executed(&self, st: &MachState, e: EventId) -> bool {
-        self.pos_in_process[e.index()] < st.next[self.trace.event(e).process.index()]
+        self.pos_in_process[e.index()] < st.words[self.trace.event(e).process.index()]
     }
 
     /// Whether the next event of process `p` can execute at `st`; `Ok(e)`
@@ -344,14 +370,14 @@ impl<'a> Machine<'a> {
         match &self.trace.event(e).op {
             Op::Compute | Op::SemV(_) | Op::Post(_) | Op::Clear(_) | Op::Fork(_) => Ok(e),
             Op::SemP(s) => {
-                if st.sem[s.index()] > 0 {
+                if st.sem(s.index()) > 0 {
                     Ok(e)
                 } else {
                     Err(BlockReason::SemaphoreZero)
                 }
             }
             Op::Wait(v) => {
-                if st.flag[v.index()] {
+                if st.flag(v.index()) != 0 {
                     Ok(e)
                 } else {
                     Err(BlockReason::EventVarClear)
@@ -397,20 +423,20 @@ impl<'a> Machine<'a> {
             Err(r) => panic!("step on blocked process {p}: {r}"),
         };
         match &self.trace.event(e).op {
-            Op::SemP(s) => st.sem[s.index()] -= 1,
-            Op::SemV(s) => st.sem[s.index()] += 1,
-            Op::Post(v) => st.flag[v.index()] = true,
-            Op::Clear(v) => st.flag[v.index()] = false,
+            Op::SemP(s) => *st.sem_mut(s.index()) -= 1,
+            Op::SemV(s) => *st.sem_mut(s.index()) += 1,
+            Op::Post(v) => *st.flag_mut(v.index()) = 1,
+            Op::Clear(v) => *st.flag_mut(v.index()) = 0,
             Op::Compute | Op::Wait(_) | Op::Fork(_) | Op::Join(_) => {}
         }
-        st.next[p.index()] += 1;
+        st.words[p.index()] += 1;
         st.executed += 1;
         e
     }
 
     /// [`Machine::step`] that also maintains `fp`, the state's
     /// [key fingerprint](MachState::key_fingerprint), incrementally: one
-    /// step moves a single `next` slot and flips at most one flag, so the
+    /// step moves a single progress slot and flips at most one flag, so the
     /// Zobrist XOR updates in O(1) where recomputation would re-mix every
     /// key slot. `fp` must hold the fingerprint of `st` on entry and holds
     /// the stepped state's on return.
@@ -436,26 +462,28 @@ impl<'a> Machine<'a> {
     pub fn apply_keyed(&self, st: &mut MachState, p: ProcessId, e: EventId, fp: &mut u64) {
         debug_assert_eq!(self.enabled(st, p), Ok(e), "apply of a non-enabled event");
         match &self.trace.event(e).op {
-            Op::SemP(s) => st.sem[s.index()] -= 1,
-            Op::SemV(s) => st.sem[s.index()] += 1,
+            Op::SemP(s) => *st.sem_mut(s.index()) -= 1,
+            Op::SemV(s) => *st.sem_mut(s.index()) += 1,
             Op::Post(v) => {
-                if !st.flag[v.index()] {
-                    st.flag[v.index()] = true;
+                let flag = st.flag_mut(v.index());
+                if *flag == 0 {
+                    *flag = 1;
                     *fp ^= zobrist_flag(v.index() as u32);
                 }
             }
             Op::Clear(v) => {
-                if st.flag[v.index()] {
-                    st.flag[v.index()] = false;
+                let flag = st.flag_mut(v.index());
+                if *flag != 0 {
+                    *flag = 0;
                     *fp ^= zobrist_flag(v.index() as u32);
                 }
             }
             Op::Compute | Op::Wait(_) | Op::Fork(_) | Op::Join(_) => {}
         }
         let pi = p.index();
-        let x = st.next[pi];
+        let x = st.words[pi];
         *fp ^= zobrist_next(pi as u32, x) ^ zobrist_next(pi as u32, x + 1);
-        st.next[pi] = x + 1;
+        st.words[pi] = x + 1;
         st.executed += 1;
         debug_assert_eq!(*fp, st.key_fingerprint());
     }
@@ -663,7 +691,8 @@ mod tests {
     #[test]
     fn states_with_equal_next_can_differ_by_flags() {
         // p0: Post(v); p1: Clear(v). Executing both in either order yields
-        // the same `next` but different flags — the state must distinguish.
+        // the same progress but different flags — the state must
+        // distinguish.
         let mut tb = TraceBuilder::new();
         let p0 = tb.process("p0");
         let p1 = tb.process("p1");
@@ -682,5 +711,41 @@ mod tests {
         m.step(&mut clear_then_post, p0);
 
         assert_ne!(post_then_clear, clear_then_post);
+        assert_eq!(post_then_clear.progress(), clear_then_post.progress());
+        assert_ne!(post_then_clear.words(), clear_then_post.words());
+    }
+
+    #[test]
+    fn the_row_holds_progress_then_counters_then_flags() {
+        let mut tb = TraceBuilder::new();
+        let p0 = tb.process("p0");
+        let p1 = tb.process("p1");
+        let s = tb.semaphore("s", 2);
+        let v = tb.event_var("v", true);
+        let w = tb.event_var("w", false);
+        tb.push(p0, Op::SemP(s));
+        tb.push(p1, Op::Clear(v));
+        tb.push(p1, Op::Post(w));
+        let t = tb.build().unwrap();
+        let m = Machine::new(&t);
+
+        let init = m.initial_state();
+        assert_eq!(init.words(), &[0, 0, 2, 1, 0]);
+        assert_eq!(init.progress(), &[0, 0]);
+        assert_eq!(init.flags(), &[1, 0]);
+        let mut st = init.clone();
+        let mut fp = st.key_fingerprint();
+        m.step_keyed(&mut st, p0, &mut fp);
+        m.step_keyed(&mut st, p1, &mut fp);
+        m.step_keyed(&mut st, p1, &mut fp);
+        assert_eq!(st.words(), &[1, 2, 1, 0, 1]);
+        assert_eq!(st.executed_count(), 3);
+        assert_eq!(fp, st.key_fingerprint());
+
+        // Loading a row back is a copy into the same width.
+        let mut loaded = init.clone();
+        loaded.load(st.words(), st.executed_count());
+        assert_eq!(loaded, st);
+        assert_eq!(loaded.key_fingerprint(), fp);
     }
 }

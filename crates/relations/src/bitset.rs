@@ -70,20 +70,6 @@ impl BitSet {
         }
     }
 
-    /// Overwrites this set's contents from a raw word row (as produced by
-    /// [`crate::BitMatrix::row_words`]), without reallocating.
-    ///
-    /// # Panics
-    /// Panics if `words.len()` differs from this set's word count.
-    pub fn load_words(&mut self, words: &[u64]) {
-        assert_eq!(
-            self.words.len(),
-            words.len(),
-            "BitSet word-count mismatch in load_words"
-        );
-        self.words.copy_from_slice(words);
-    }
-
     /// The packed word representation (64 indices per word, LSB-first).
     #[inline]
     pub fn words(&self) -> &[u64] {

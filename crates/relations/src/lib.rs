@@ -9,8 +9,6 @@
 //!
 //! * [`BitSet`]: a compact fixed-capacity bit set (the row type of a
 //!   relation matrix);
-//! * [`BitMatrix`]: a growable flat sequence of fixed-width bit rows (the
-//!   engine's per-state executed sets, one appended row per state);
 //! * [`Relation`]: an n×n bit-matrix binary relation with relation algebra
 //!   (union, intersection, transpose, composition) and order-theoretic
 //!   queries (irreflexivity, acyclicity, partial-order checks);
@@ -42,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitmatrix;
 pub mod bitset;
 pub mod closure;
 pub mod digraph;
@@ -50,7 +47,6 @@ pub mod fxhash;
 pub mod relation;
 pub mod vector_clock;
 
-pub use bitmatrix::BitMatrix;
 pub use bitset::BitSet;
 pub use digraph::Digraph;
 pub use relation::Relation;
